@@ -12,14 +12,12 @@ from .polyform import (NEG_INF, KForm, Polynomial, euler_contraction,
                        scaling_substitution, top_component, validate_weights,
                        wedge, weighted_degree)
 from .groebner import (GroebnerBasis, MonomialOrder, buchberger,
-                       elimination_basis, elimination_ideal,
-                       elimination_order, ideal_dimension, normal_form,
+                       elimination_ideal, elimination_order, ideal_dimension,
                        quotient_vector_basis)
 from .gradedlin import (ColumnGroup, CombinationSolver, ExactLinearSolver,
-                        GroupWitness, bounded_solve, graded_solve,
-                        kform_coordinates, monomial_basis,
-                        weighted_exponents)
-from .infinity import (InfinityBasis, PolyMap, PreconditionError, build,
+                        GroupWitness, graded_solve, kform_coordinates,
+                        monomial_basis, weighted_exponents)
+from .infinity import (InfinityBasis, PolyMap, PreconditionError,
                        closed_at_infinity, euler_normalize,
                        exact_at_infinity, infinity_basis,
                        is_complete_intersection_at_infinity,

@@ -9,8 +9,10 @@
     fibera verify     WITNESS.json    recheck a previously emitted witness
 
 Exit codes: 0 success, 1 mathematical precondition failure (including a
-negative CIA verdict from check), 2 parse or input error.  --json emits a
-self-contained object (problem text included) that `verify` accepts.
+negative CIA verdict from check), 2 parse or input error, 3 internal error
+(a failed internal consistency check, reported without a traceback).
+--json emits a self-contained object (problem text included) that
+`verify` accepts.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .parse import (ParseError, form_str, parse_form_expr, parse_problem,
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_PARSE = 2
+EXIT_INTERNAL = 3
 
 
 def _input_hash(text):
@@ -382,6 +385,9 @@ def main(argv=None):
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -28,11 +28,9 @@ from fractions import Fraction
 
 from .polyform import (KForm, NEG_INF, Polynomial, exterior_derivative,
                        wedge, weighted_degree)
-from .gradedlin import (ColumnGroup, CombinationSolver, ExactLinearSolver,
-                        monomial_basis)
-from .groebner import normal_form
-from .infinity import (InfinityBasis, PolyMap, PreconditionError,
-                       is_complete_intersection_at_infinity,
+from .gradedlin import (CombinationSolver, ExactLinearSolver, monomial_basis,
+                        operator_columns)
+from .infinity import (PreconditionError, is_complete_intersection_at_infinity,
                        singular_dimension)
 
 __all__ = [
@@ -105,8 +103,7 @@ def bounded_ideal_membership(P, F, y):
     if P.is_zero():
         return [Polynomial.zero(F.n) for _ in range(q)]
     r = P.weighted_degree(F.weights)
-    _, solver = F.fibre_exactness_groups(0, r, y)
-    ws = solver.solve(KForm.from_polynomial(P))
+    ws = F.solver(0, r, y).solve(KForm.from_polynomial(P))
     if ws is None:
         return None
     return [ws[1 + i].combination.as_polynomial() for i in range(q)]
@@ -123,25 +120,11 @@ def exact_on_fibre(omega, F, y):
                    [KForm.zero(F.n, k) for _ in range(q)])
         return ExactnessResult(witness, complete)
     r = omega.weighted_degree(F.weights)
-    _, solver = F.fibre_exactness_groups(k, r, y)
-    ws = solver.solve(omega)
+    ws = F.solver(k, r, y).solve(omega)
     if ws is None:
         return ExactnessResult(None, complete)
     witness = (ws[0].combination, [ws[1 + i].combination for i in range(q)])
     return ExactnessResult(witness, complete)
-
-
-def _class_solver(F, B, r):
-    hit = B._class_solvers.get(r)
-    if hit is None:
-        k = F.n - F.q
-        idx = [i for i, d in enumerate(B.degrees) if d == r]
-        same = [B.forms[i] for i in idx]
-        groups = [ColumnGroup("basis", F.n, k, same, list(same))]
-        groups.extend(F.exactness_groups(k, r))
-        hit = (idx, CombinationSolver(groups))
-        B._class_solvers[r] = hit
-    return hit
 
 
 def fibre_class(omega, F, y, B):
@@ -164,8 +147,8 @@ def fibre_class(omega, F, y, B):
     while not rem.is_zero():
         r = rem.weighted_degree(w)
         top = rem.top_component(w)
-        idx, solver = _class_solver(F, B, r)
-        ws = solver.solve(top)
+        idx = [i for i, d in enumerate(B.degrees) if d == r]
+        ws = F.solver(k, r, lead=[B.forms[i] for i in idx]).solve(top)
         if ws is None:
             raise RuntimeError("internal: degree descent step unsolvable")
         for pos, i in enumerate(idx):
@@ -201,14 +184,12 @@ def relative_exact_homogeneous(omega, F):
         raise ValueError("relative_exact_homogeneous needs a homogeneous form")
     n, w, k = F.n, F.weights, omega.k
     r = omega.weighted_degree(w)
-    dbasis = monomial_basis(n, k - 1, w, r) if k >= 1 else []
-    groups = [ColumnGroup("d", n, max(k - 1, 0), dbasis,
-                          [exterior_derivative(b) for b in dbasis])]
+    groups = [F.exactness_groups(k, r)[0]]
     for i, ftop in enumerate(F.top_components):
         df = exterior_derivative(ftop)
         basis = monomial_basis(n, k - 1, w, r - F.degrees[i]) if k >= 1 else []
-        groups.append(ColumnGroup(f"eta{i + 1}", n, max(k - 1, 0), basis,
-                                  [wedge(b, df) for b in basis]))
+        groups.append(operator_columns(f"eta{i + 1}", basis,
+                                       lambda b, df=df: wedge(b, df), n, max(k - 1, 0)))
     ws = CombinationSolver(groups).solve(omega)
     if ws is None:
         return None
@@ -350,7 +331,7 @@ def verify_vanishing(F, k, y, degree_bound):
                 coords[(S, e)] = c
         cols.append(coords)
     kernel = ExactLinearSolver(cols).nullspace() if cols else []
-    _, solver = F.fibre_exactness_groups(k, degree_bound, y)
+    solver = F.solver(k, degree_bound, y)
     exact = 0
     failures = 0
     for vec in kernel:

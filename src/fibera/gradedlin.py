@@ -25,7 +25,7 @@ from .polyform import KForm, Polynomial, weighted_degree
 __all__ = [
     "weighted_exponents", "monomial_basis", "kform_coordinates",
     "ExactLinearSolver", "ColumnGroup", "operator_columns", "GroupWitness",
-    "CombinationSolver", "graded_solve", "bounded_solve",
+    "CombinationSolver", "graded_solve",
 ]
 
 
@@ -279,9 +279,4 @@ def graded_solve(target, groups, weights):
         return [GroupWitness([Fraction(0)] * len(g.basis), KForm.zero(g.n, g.k))
                 for g in groups]
     _check_graded(target, groups, weights)
-    return CombinationSolver(groups).solve(target)
-
-
-def bounded_solve(target, groups):
-    """Solve against degree-bounded (not necessarily graded) column groups."""
     return CombinationSolver(groups).solve(target)

@@ -249,11 +249,6 @@ def buchberger(gens, order):
     return GroebnerBasis(out, order)
 
 
-def normal_form(P, basis, with_cofactors=False):
-    """Normal form of P modulo a GroebnerBasis."""
-    return basis.normal_form(P, with_cofactors=with_cofactors)
-
-
 def ideal_dimension(basis):
     """Krull dimension of the quotient ring; -1 for the unit ideal.
 
@@ -318,11 +313,6 @@ def elimination_order(weights, eliminate):
     if not keep:
         raise ValueError("cannot eliminate every variable")
     return MonomialOrder(weights, blocks=[elim, keep])
-
-
-def elimination_basis(gens, weights, eliminate):
-    """Groebner basis under an order eliminating the given variables."""
-    return buchberger(gens, elimination_order(weights, eliminate))
 
 
 def elimination_ideal(basis, eliminate):

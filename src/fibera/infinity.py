@@ -24,13 +24,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .polyform import (KForm, NEG_INF, Polynomial, euler_contraction,
+from .polyform import (KForm, Polynomial, euler_contraction,
                        exterior_derivative, validate_weights, wedge)
-from .groebner import (GroebnerBasis, MonomialOrder, buchberger,
-                       elimination_order, ideal_dimension,
-                       quotient_vector_basis)
+from .groebner import (MonomialOrder, buchberger, elimination_order,
+                       ideal_dimension, quotient_vector_basis)
 from .gradedlin import (ColumnGroup, CombinationSolver, monomial_basis,
                         operator_columns)
+
+# Entries a PolyMap keeps in its cache before it drops the oldest.
+CACHE_LIMIT = 256
 
 
 class PreconditionError(ValueError):
@@ -40,9 +42,12 @@ class PreconditionError(ValueError):
 class PolyMap:
     """A polynomial map C^n -> C^q, n > q, with its data at infinity.
 
-    Groebner bases for the ideal at infinity (I), the singular ideal
-    (I+J), fibre ideals, and the linear solvers for exactness questions
-    are computed once and cached on the instance.
+    Groebner bases for the ideal at infinity (I) and the singular ideal
+    (I+J) are computed on construction.  Fibre ideals, the graph ideal,
+    the column groups of exactness_groups and the solvers of solver() are
+    built on first use and kept in one cache of at most CACHE_LIMIT
+    entries.  Every exactness question, at infinity or on a fibre, is a
+    solve against solver(k, r, y, lead).
     """
 
     def __init__(self, components, weights):
@@ -73,11 +78,18 @@ class PolyMap:
                                       self.order)
         self.jac_form = _wedge_differentials(self.components)
         self.jac_form_top = _wedge_differentials(self.top_components)
-        self._fibre_gbs = {}
-        self._exact_groups = {}
-        self._exact_solvers = {}
-        self._fibre_solvers = {}
-        self._graph_gb = None
+        self._cache = {}
+
+    def _cached(self, key, make):
+        """The cached value for key, built by make() on a miss.  When the
+        cache holds CACHE_LIMIT entries the oldest one is dropped."""
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = make()
+            while len(self._cache) >= CACHE_LIMIT:
+                del self._cache[next(iter(self._cache))]
+            self._cache[key] = hit
+        return hit
 
     def _minors(self):
         rows = [[f.derivative(j) for j in range(self.n)] for f in self.top_components]
@@ -93,78 +105,64 @@ class PolyMap:
             raise ValueError(f"point needs {self.q} coordinates, got {len(pt)}")
         return pt
 
+    def _shifted(self, y):
+        return [f - Polynomial.constant(self.n, c) for f, c in zip(self.components, y)]
+
     def fibre_gb(self, y):
         """Groebner basis of (f_1 - y_1, ..., f_q - y_q)."""
         y = self.point(y)
-        gb = self._fibre_gbs.get(y)
-        if gb is None:
-            gens = [f - Polynomial.constant(self.n, c)
-                    for f, c in zip(self.components, y)]
-            gb = buchberger(gens, self.order)
-            self._fibre_gbs[y] = gb
-        return gb
+        return self._cached(("fibre_gb", y),
+                            lambda: buchberger(self._shifted(y), self.order))
 
-    def exactness_groups(self, k, r):
-        """Column groups spanning the degree-r graded piece of
-        d(Omega^(k-1)) + sum fbar_i Omega^k.
+    def exactness_groups(self, k, r, y=None):
+        """Column groups spanning d(Omega^(k-1)) + sum g_i Omega^k.
 
+        With y None: the degree-r graded piece at infinity, g_i = fbar_i.
+        With a point y: all degrees <= r on the fibre, g_i = f_i - y_i.
         Layout: group 0 is the d-image block (empty basis when k == 0),
-        groups 1..q the multiples of each top component.
+        groups 1..q the multiples of each g_i.
         """
-        key = (k, r)
-        groups = self._exact_groups.get(key)
-        if groups is not None:
-            return groups
-        n, w = self.n, self.weights
-        dbasis = monomial_basis(n, k - 1, w, r) if k >= 1 else []
+        y = None if y is None else self.point(y)
+        return self._cached(("groups", k, r, y), lambda: self._groups(k, r, y))
+
+    def _groups(self, k, r, y):
+        n, w, bounded = self.n, self.weights, y is not None
+        dbasis = monomial_basis(n, k - 1, w, r, at_most=bounded) if k >= 1 else []
         groups = [operator_columns("d", dbasis, exterior_derivative,
                                    n, max(k - 1, 0))]
-        for i, ftop in enumerate(self.top_components):
-            mbasis = monomial_basis(n, k, w, r - self.degrees[i])
-            groups.append(operator_columns(f"top{i + 1}", mbasis,
-                                           lambda b, p=ftop: p * b, n, k))
-        self._exact_groups[key] = groups
+        gs = self._shifted(y) if bounded else self.top_components
+        for i, g in enumerate(gs):
+            mbasis = monomial_basis(n, k, w, r - self.degrees[i], at_most=bounded)
+            groups.append(operator_columns(f"g{i + 1}", mbasis,
+                                           lambda b, p=g: p * b, n, k))
         return groups
 
-    def exactness_solver(self, k, r):
-        key = (k, r)
-        solver = self._exact_solvers.get(key)
-        if solver is None:
-            solver = CombinationSolver(self.exactness_groups(k, r))
-            self._exact_solvers[key] = solver
-        return solver
+    def solver(self, k, r, y=None, lead=None):
+        """Cached CombinationSolver over exactness_groups(k, r, y), preceded
+        by a group spanning the k-forms `lead` whenever lead is not None
+        (even when empty), so the layout does not depend on its length."""
+        y = None if y is None else self.point(y)
+        lead = None if lead is None else tuple(lead)
 
-    def fibre_exactness_groups(self, k, r, y):
-        """Degree-bounded column groups for d(Omega^(k-1)) + sum (f_i - y_i) Omega^k."""
-        y = self.point(y)
-        key = (k, r, y)
-        cached = self._fibre_solvers.get(key)
-        if cached is not None:
-            return cached
-        n, w = self.n, self.weights
-        dbasis = monomial_basis(n, k - 1, w, r, at_most=True) if k >= 1 else []
-        groups = [operator_columns("d", dbasis, exterior_derivative,
-                                   n, max(k - 1, 0))]
-        for i, (f, c) in enumerate(zip(self.components, y)):
-            shifted = f - Polynomial.constant(n, c)
-            mbasis = monomial_basis(n, k, w, r - self.degrees[i], at_most=True)
-            groups.append(operator_columns(f"fib{i + 1}", mbasis,
-                                           lambda b, p=shifted: p * b, n, k))
-        solver = CombinationSolver(groups)
-        self._fibre_solvers[key] = (groups, solver)
-        return groups, solver
+        def make():
+            groups = self.exactness_groups(k, r, y)
+            if lead is None:
+                return CombinationSolver(groups)
+            basis = ColumnGroup("basis", self.n, k, list(lead), list(lead))
+            return CombinationSolver([basis] + groups)
+        return self._cached(("solver", k, r, y, lead), make)
 
     def graph_gb(self):
         """Elimination basis of (f_i(x) - t_i) in Q[x, t], x-block first."""
-        if self._graph_gb is None:
+        def make():
             n, q = self.n, self.q
             tw = tuple(max(d, 1) for d in self.degrees)
             order = elimination_order(self.weights + tw, list(range(n)))
             gens = []
             for i, f in enumerate(self.components):
                 gens.append(f.pad(q) - Polynomial.variable(n + q, n + i))
-            self._graph_gb = buchberger(gens, order)
-        return self._graph_gb
+            return buchberger(gens, order)
+        return self._cached(("graph_gb",), make)
 
 
 def _det(m):
@@ -183,11 +181,6 @@ def _wedge_differentials(polys):
     for f in polys[1:]:
         out = wedge(out, exterior_derivative(f))
     return out
-
-
-def build(components, weights):
-    """Construct a PolyMap and its cached data at infinity."""
-    return PolyMap(components, weights)
 
 
 class CompleteIntersectionCheck:
@@ -275,7 +268,7 @@ def exact_at_infinity(omega, F):
     if omega.is_zero():
         return Omega, etas
     for r, part in sorted(omega.homogeneous_components(F.weights).items()):
-        ws = F.exactness_solver(k, r).solve(part)
+        ws = F.solver(k, r).solve(part)
         if ws is None:
             return None
         Omega = Omega + ws[0].combination
@@ -291,7 +284,6 @@ class InfinityBasis:
         self.forms = list(forms)
         self.degrees = list(degrees)
         self.mu = mu
-        self._class_solvers = {}  # per-degree solvers, filled by fibre queries
 
     def __len__(self):
         return len(self.forms)

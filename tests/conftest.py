@@ -1,11 +1,19 @@
 """Shared fixtures: the standing example maps and random-form helpers."""
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fibera
 from fibera import KForm, PolyMap, Polynomial, infinity_basis, monomial_basis
+
+# `python -m fibera.cli` in a subprocess imports the fibera under test
+_PKG_ROOT = str(Path(fibera.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_PKG_ROOT, os.environ.get("PYTHONPATH")]))
 
 
 def variables(n):

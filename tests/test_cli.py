@@ -10,8 +10,9 @@ import sys
 import pytest
 
 from fibera import KForm, parse_form_expr
-from fibera.cli import (EXIT_MATH, EXIT_OK, EXIT_PARSE, form_from_json,
-                        form_to_json, main, poly_from_json, poly_to_json)
+from fibera.cli import (EXIT_INTERNAL, EXIT_MATH, EXIT_OK, EXIT_PARSE,
+                        form_from_json, form_to_json, main, poly_from_json,
+                        poly_to_json)
 from conftest import make_random_form, make_random_poly
 
 GOLDEN_SOURCE = """\
@@ -227,6 +228,17 @@ class TestGuardsAndErrors:
             main(["frobnicate", "file"])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+    def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch,
+                                                  golden_file):
+        monkeypatch.setattr("fibera.cli.verify_decomposition",
+                            lambda *args: False)
+        code, out, err = run(capsys, ["decompose", golden_file, "--form", "w1"])
+        assert code == EXIT_INTERNAL == 3
+        assert out == ""
+        assert err == ("internal error: internal: decomposition failed "
+                       "self-verification\n")
+        assert "Traceback" not in err
 
 
 class TestJsonOutput:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from fibera import (
     FibreClass,
     KForm,
+    PolyMap,
     Polynomial,
     PreconditionError,
     RelativeDecomposition,
@@ -27,6 +29,7 @@ from fibera import (
     wedge,
     weighted_degree,
 )
+from fibera import infinity
 from conftest import make_random_form, make_random_poly, variables
 
 
@@ -188,6 +191,46 @@ class TestFibreClass:
         dx = KForm.basis_form(2, (0,))
         with pytest.raises(PreconditionError):
             fibre_class(dx, quartic_map, y, None)
+
+    def test_basis_shared_across_maps(self):
+        # solvers live on the map, keyed by the basis forms: a query on F1
+        # must not leave a solver behind that a query on F2 then picks up
+        x, y, z = variables(3)
+        dx, dz = KForm.basis_form(3, (0,)), KForm.basis_form(3, (2,))
+        F1 = PolyMap([x * z, x ** 2 + y ** 2 - z ** 2], (1, 1, 1))
+        F2 = PolyMap([x * y, x ** 2 - y ** 2 + z ** 2], (1, 1, 1))
+        B1 = infinity_basis(F1)
+        fibre_class(y * z ** 2 * dx, F1, (1, 2), B1)
+        omega = x * y * z * dz + y * z ** 2 * dx
+        cls = fibre_class(omega, F2, (1, 2), B1)
+        assert cls.coefficients == [-1, 0, 0, 0, 0]
+        assert verify_decomposition(omega, cls, F2, B1)
+        assert fibre_class(omega, F2, (1, 2), deepcopy(B1)) == cls
+
+
+class TestPolyMapCache:
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(infinity, "CACHE_LIMIT", 4)
+        x, y, z = variables(3)
+        F = PolyMap([x * z, x ** 2 + y ** 2 - z ** 2], (1, 1, 1))
+        dy = KForm.basis_form(3, (1,))
+        exact = exterior_derivative(x * y) + (x * z - 1) * dy  # on f_1 = 1
+        w1 = z * KForm.basis_form(3, (0,)) - x * KForm.basis_form(3, (2,))
+        points = [F.point([1, c]) for c in range(6)]
+
+        def answers():
+            out = []
+            for p in points:
+                gb = F.fibre_gb(p)
+                out.append((gb.generators, exact_on_fibre(exact, F, p),
+                            exact_on_fibre(w1, F, p)))
+                assert len(F._cache) <= 4
+            return out
+
+        before = answers()
+        assert all(e.witness is not None and n.witness is None
+                   for _, e, n in before)
+        assert answers() == before
 
 
 class TestRelativeOperations:

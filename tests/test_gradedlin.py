@@ -12,7 +12,6 @@ from fibera import (
     ExactLinearSolver,
     KForm,
     Polynomial,
-    bounded_solve,
     exterior_derivative,
     graded_solve,
     kform_coordinates,
@@ -228,7 +227,7 @@ class TestCombinationSolver:
         dbasis = monomial_basis(2, 0, (1, 1), 3, at_most=True)
         groups = [operator_columns("d", dbasis, exterior_derivative, 2, 0)]
         target = exterior_derivative(x * y + x ** 2 * y - 3 * x)
-        ws = bounded_solve(target, groups)
+        ws = CombinationSolver(groups).solve(target)
         assert ws is not None
         assert exterior_derivative(ws[0].combination) == target
 

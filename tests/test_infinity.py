@@ -11,7 +11,6 @@ from fibera import (
     PolyMap,
     Polynomial,
     PreconditionError,
-    build,
     closed_at_infinity,
     euler_contraction,
     euler_normalize,
@@ -70,7 +69,7 @@ class TestPolyMapConstruction:
 
     def test_build_helper(self):
         x, y = variables(2)
-        F = build([x ** 2 + y ** 3], (3, 2))
+        F = PolyMap([x ** 2 + y ** 3], (3, 2))
         assert isinstance(F, PolyMap)
         assert F.degrees == [6]
 
@@ -359,6 +358,45 @@ class TestInfinityBasis:
     def test_non_isolated_raises(self, quartic_map):
         with pytest.raises(PreconditionError):
             infinity_basis(quartic_map)
+
+
+class TestSolverAccessor:
+    def test_matches_hand_built_solver(self, golden_map, golden_basis):
+        from fibera import ColumnGroup, CombinationSolver
+        F, B = golden_map, golden_basis
+        rng = random.Random(89)
+        for r in (2, 3):
+            same = [b for b, d in zip(B.forms, B.degrees) if d == r]
+            groups = [ColumnGroup("basis", 3, 1, same, list(same))]
+            hand = CombinationSolver(groups + F.exactness_groups(1, r))
+            cached = F.solver(1, r, lead=same)
+            space = monomial_basis(3, 1, (1, 1, 1), r)
+            for _ in range(6):
+                f = KForm.zero(3, 1)
+                for m in space:
+                    f = f + rng.randint(-3, 3) * m
+                got, want = cached.solve(f), hand.solve(f)
+                assert want is not None and len(got) == len(want) == 2 + F.q
+                assert [g.coefficients for g in got] == [g.coefficients for g in want]
+                assert [g.combination for g in got] == [g.combination for g in want]
+
+    def test_solver_is_cached(self, golden_map):
+        F = golden_map
+        y = F.point([1, 0])
+        assert F.solver(1, 2, y) is F.solver(1, 2, y)
+        assert F.solver(1, 2, [1, 0]) is F.solver(1, 2, y)
+        assert F.solver(1, 2) is F.solver(1, 2)
+        assert F.solver(1, 2, lead=[]) is not F.solver(1, 2)
+
+    def test_empty_lead_keeps_its_group(self, golden_map):
+        # callers index the exactness groups from 1 whenever lead is given
+        F = golden_map
+        assert len(F.solver(1, 2).groups) == 1 + F.q
+        assert len(F.solver(1, 2, lead=[]).groups) == 2 + F.q
+        assert F.solver(1, 2, lead=[]).groups[0].basis == []
+
+    def test_basis_holds_no_solvers(self, golden_basis):
+        assert not hasattr(golden_basis, "_class_solvers")
 
 
 def _reference_forms():
