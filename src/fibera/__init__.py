@@ -15,8 +15,8 @@ from .groebner import (GroebnerBasis, MonomialOrder, buchberger,
                        elimination_ideal, elimination_order, ideal_dimension,
                        quotient_vector_basis)
 from .gradedlin import (ColumnGroup, CombinationSolver, ExactLinearSolver,
-                        GroupWitness, graded_solve, kform_coordinates,
-                        monomial_basis, weighted_exponents)
+                        GroupWitness, kform_coordinates, monomial_basis,
+                        weighted_exponents)
 from .infinity import (InfinityBasis, PolyMap, PreconditionError,
                        closed_at_infinity, euler_normalize,
                        exact_at_infinity, infinity_basis,

@@ -25,8 +25,7 @@ from fractions import Fraction
 
 from .polyform import KForm, Polynomial
 from .infinity import (PolyMap, PreconditionError, infinity_basis,
-                       is_complete_intersection_at_infinity, milnor_number,
-                       singular_dimension)
+                       is_complete_intersection_at_infinity, milnor_number)
 from .fibre import (FibreClass, RelativeDecomposition, fibre_class,
                     is_in_subalgebra, relative_decompose, verify_decomposition)
 from .parse import (ParseError, form_str, parse_form_expr, parse_problem,
@@ -386,7 +385,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except RuntimeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        msg = str(exc).removeprefix("internal: ")
+        print(f"internal error: {msg}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

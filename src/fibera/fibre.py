@@ -10,11 +10,12 @@ For a map that is a complete intersection at infinity with isolated
 singularity, the degree-(n-q) cohomology of every fibre is spanned by one
 fixed weighted-homogeneous basis (an InfinityBasis), and every closed
 (n-q)-form decomposes over it with either constant coefficients (on one
-fibre) or polynomial coefficients in F (relatively).  Both decompositions
-proceed by degree descent: solve the top weighted-degree piece against
-the graded data at infinity, subtract, repeat.  Descent is strict because
-f_i - fbar_i has lower degree than f_i, so termination is guaranteed and
-every witness obeys the advertised degree bounds:
+fibre) or polynomial coefficients in F (relatively).  Both rest on one
+degree descent: solve the top weighted-degree piece against the graded
+data at infinity, subtract, repeat.  A relative decomposition is the
+descent over y = 0, repeated on the eta-remainders with multipliers
+F^alpha.  Descent is strict because f_i - fbar_i has lower degree than
+f_i, so it terminates and every witness obeys the degree bounds:
 
     deg a_i(F) <= deg omega - deg omega_i
     deg Omega  <= deg omega
@@ -128,17 +129,24 @@ def exact_on_fibre(omega, F, y):
 
 
 def fibre_class(omega, F, y, B):
-    """Decompose a closed (n-q)-form over the basis B on the fibre over y.
-
-    Degree descent: the top graded piece is solved against span(B at that
-    degree) + d(...) + sum fbar_i (...), then subtracted using the full
-    f_i - y_i, which strictly lowers the degree.
-    """
+    """Decompose a closed (n-q)-form over the basis B on the fibre over y."""
     _require_cia_isolated(F)
     k = F.n - F.q
     if not omega.is_zero() and omega.k != k:
         raise PreconditionError(f"fibre classes live in form degree {k}")
     y = F.point(y)
+    return FibreClass(y, *_descend(omega, F, y, B))
+
+
+def _descend(omega, F, y, B):
+    """Degree descent of omega over B on the fibre over the point y.
+
+    The top graded piece is solved against span(B at that degree) +
+    d(...) + sum fbar_i (...), then subtracted using the full f_i - y_i,
+    which strictly lowers the degree.  Returns (coefficients, Omega, etas).
+    Every step is linear in its target, and so is the whole descent.
+    """
+    k = F.n - F.q
     w = F.weights
     coeffs = [Fraction(0)] * B.mu
     omega_part = KForm.zero(F.n, max(k - 1, 0))
@@ -165,7 +173,7 @@ def fibre_class(omega, F, y, B):
         new_r = rem.weighted_degree(w)
         if new_r != NEG_INF and new_r >= r:
             raise RuntimeError("internal: degree descent failed to decrease")
-    return FibreClass(y, coeffs, omega_part, etas)
+    return coeffs, omega_part, etas
 
 
 def relative_closed(omega, F):
@@ -197,48 +205,46 @@ def relative_exact_homogeneous(omega, F):
 
 
 def relative_decompose(omega, F, B):
-    """Certified relative decomposition with the degree bounds above."""
+    """Certified relative decomposition with the degree bounds above.
+
+    A worklist over multiplier exponents alpha, in order of |alpha|: the
+    form at alpha descends over y = 0 to sum c_j b_j + d(Omega) + sum f_i
+    eta_i, and each eta_i joins the form at alpha + e_i.  Times F^alpha,
+    this adds c_j t^alpha to a_j, F^alpha Omega to Omega and, as F^alpha
+    d(Omega) = d(F^alpha Omega) - sum (d_i t^alpha)(F) df_i ^ Omega,
+    sign * (d_i t^alpha)(F) Omega to eta_i.
+    """
     _require_cia_isolated(F)
-    k = F.n - F.q
+    q, k = F.q, F.n - F.q
     if not omega.is_zero() and omega.k != k:
         raise PreconditionError(f"relative decomposition needs a {k}-form")
-    zero_pt = F.point([0] * F.q)
-    return _relative_rec(omega, F, B, zero_pt)
-
-
-def _relative_rec(om, F, B, zero_pt):
-    q = F.q
-    k = F.n - F.q
+    zero_pt = F.point([0] * q)
     kk = max(k - 1, 0)
-    if om.is_zero():
-        return RelativeDecomposition([Polynomial.zero(q) for _ in range(B.mu)],
-                                     KForm.zero(F.n, kk),
-                                     [KForm.zero(F.n, kk) for _ in range(q)])
-    r = om.weighted_degree(F.weights)
-    fc = fibre_class(om, F, zero_pt, B)
-    a = [Polynomial.constant(q, c) if c else Polynomial.zero(q)
-         for c in fc.coefficients]
-    omega_part = fc.omega
+    a = [Polynomial.zero(q) for _ in range(B.mu)]
+    omega_part = KForm.zero(F.n, kk)
     eta = [KForm.zero(F.n, kk) for _ in range(q)]
     sign = -1 if k % 2 else 1  # df_i ^ W = (-1)^(k-1) W ^ df_i for (k-1)-forms W
-    for i in range(q):
-        rest = fc.eta[i]
-        if rest.is_zero():
-            continue
-        if rest.weighted_degree(F.weights) >= r:
-            raise RuntimeError("internal: recursion without degree decrease")
-        part = _relative_rec(rest, F, B, zero_pt)
-        t_i = Polynomial.variable(q, i)
-        for j in range(B.mu):
-            if part.coeff_polys[j]:
-                a[j] = a[j] + t_i * part.coeff_polys[j]
-        f_i = F.components[i]
-        if not part.omega.is_zero():
-            omega_part = omega_part + f_i * part.omega
-            eta[i] = eta[i] + sign * part.omega
-        for j in range(q):
-            if not part.eta[j].is_zero():
-                eta[j] = eta[j] + f_i * part.eta[j]
+    todo = {(0,) * q: omega}
+    while todo:
+        alpha = min(todo, key=lambda e: (sum(e), e))
+        rem = todo.pop(alpha)
+        r = rem.weighted_degree(F.weights)
+        coeffs, Om, etas = _descend(rem, F, zero_pt, B)
+        t = Polynomial.monomial(q, alpha)
+        a = [aj + c * t for aj, c in zip(a, coeffs)]
+        if not Om.is_zero():
+            omega_part = omega_part + t.compose(F.components) * Om
+            for i in range(q):
+                if alpha[i]:
+                    dt = t.derivative(i).compose(F.components)
+                    eta[i] = eta[i] + sign * dt * Om
+        for i, e in enumerate(etas):
+            if e.is_zero():
+                continue
+            if e.weighted_degree(F.weights) >= r:
+                raise RuntimeError("internal: recursion without degree decrease")
+            beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+            todo[beta] = todo[beta] + e if beta in todo else e
     return RelativeDecomposition(a, omega_part, eta)
 
 

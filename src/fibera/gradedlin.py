@@ -20,12 +20,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .polyform import KForm, Polynomial, weighted_degree
+from .polyform import KForm, Polynomial
 
 __all__ = [
     "weighted_exponents", "monomial_basis", "kform_coordinates",
     "ExactLinearSolver", "ColumnGroup", "operator_columns", "GroupWitness",
-    "CombinationSolver", "graded_solve",
+    "CombinationSolver",
 ]
 
 
@@ -259,24 +259,3 @@ class CombinationSolver:
             out.append(GroupWitness(coeffs, comb))
         return out
 
-
-def _check_graded(target, groups, weights):
-    r = target.weighted_degree(weights)
-    if not target.is_homogeneous(weights):
-        raise ValueError("incompatible degrees: target is not homogeneous")
-    for g in groups:
-        for img in g.images:
-            if img.is_zero():
-                continue
-            if img.k != target.k or not img.is_homogeneous(weights) \
-                    or img.weighted_degree(weights) != r:
-                raise ValueError(f"incompatible degrees in column group {g.label!r}")
-
-
-def graded_solve(target, groups, weights):
-    """Solve within one graded piece; degree mismatches are caller bugs."""
-    if target.is_zero():
-        return [GroupWitness([Fraction(0)] * len(g.basis), KForm.zero(g.n, g.k))
-                for g in groups]
-    _check_graded(target, groups, weights)
-    return CombinationSolver(groups).solve(target)

@@ -15,8 +15,6 @@ which the callers rely on for reproducibility.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .polyform import Polynomial, _eadd
 
 

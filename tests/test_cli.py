@@ -236,8 +236,7 @@ class TestGuardsAndErrors:
         code, out, err = run(capsys, ["decompose", golden_file, "--form", "w1"])
         assert code == EXIT_INTERNAL == 3
         assert out == ""
-        assert err == ("internal error: internal: decomposition failed "
-                       "self-verification\n")
+        assert err == "internal error: decomposition failed self-verification\n"
         assert "Traceback" not in err
 
 

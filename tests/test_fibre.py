@@ -29,7 +29,7 @@ from fibera import (
     wedge,
     weighted_degree,
 )
-from fibera import infinity
+from fibera import fibre, infinity
 from conftest import make_random_form, make_random_poly, variables
 
 
@@ -327,6 +327,37 @@ class TestRelativeDecompose:
         with pytest.raises(PreconditionError):
             relative_decompose(KForm.basis_form(3, (0, 1)), golden_map,
                                golden_basis)
+
+    def test_even_form_degree_multiplier_squares(self, monkeypatch):
+        # k = n - q = 2 on C^4, q = 2: the even-k sign in eta, and a degree-6
+        # 2-form whose descent reaches |alpha| = 2 (degree 6 -> 4 -> 2)
+        a, b, c, e = variables(4)
+        F = PolyMap([a * c + b * e, a ** 2 + b ** 2 - c ** 2 + e ** 2],
+                    (1, 1, 1, 1))
+        B = infinity_basis(F)
+        f = make_random_form(random.Random(2), 4, 2, F.weights, 6, density=0.1)
+        descents = []
+        descend = fibre._descend
+        monkeypatch.setattr(fibre, "_descend",
+                            lambda *args: descents.append(1) or descend(*args))
+        dec = relative_decompose(f, F, B)
+        monkeypatch.undo()
+        assert len(descents) > 1 + F.q  # at most 1 + q keys have |alpha| <= 1
+        assert verify_decomposition(f, dec, F, B)
+        for y in (F.point([1, 0]), F.point([2, -1])):
+            evaluated = [aa.evaluate(y) for aa in dec.coeff_polys]
+            assert evaluated == fibre_class(f, F, y, B).coefficients
+
+    def test_one_precondition_check_per_call(self, monkeypatch, golden_map,
+                                             golden_basis):
+        calls = []
+        cia = fibre.is_complete_intersection_at_infinity
+        monkeypatch.setattr(fibre, "is_complete_intersection_at_infinity",
+                            lambda F: calls.append(F) or cia(F))
+        f = make_random_form(random.Random(70), 3, 1, golden_map.weights, 8)
+        dec = relative_decompose(f, golden_map, golden_basis)
+        assert verify_decomposition(f, dec, golden_map, golden_basis)
+        assert len(calls) == 1
 
 
 class TestVerifyDecomposition:

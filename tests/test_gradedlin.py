@@ -13,7 +13,6 @@ from fibera import (
     KForm,
     Polynomial,
     exterior_derivative,
-    graded_solve,
     kform_coordinates,
     monomial_basis,
     weighted_exponents,
@@ -166,7 +165,7 @@ class TestCombinationSolver:
         target = x * dy + y * dx
         basis = monomial_basis(2, 0, (1, 1), 2)
         groups = [operator_columns("d", basis, exterior_derivative, 2, 0)]
-        ws = graded_solve(target, groups, (1, 1))
+        ws = CombinationSolver(groups).solve(target)
         assert ws is not None
         assert exterior_derivative(ws[0].combination) == target
         assert ws[0].combination.as_polynomial() == x * y
@@ -179,16 +178,7 @@ class TestCombinationSolver:
         target = x * dy - y * dx
         basis = monomial_basis(2, 0, (1, 1), 2)
         groups = [operator_columns("d", basis, exterior_derivative, 2, 0)]
-        assert graded_solve(target, groups, (1, 1)) is None
-
-    def test_degree_mismatch_raises(self):
-        x, y = variables(2)
-        dy = KForm.basis_form(2, (1,))
-        target = x * dy + dy  # inhomogeneous
-        basis = monomial_basis(2, 0, (1, 1), 2)
-        groups = [operator_columns("d", basis, exterior_derivative, 2, 0)]
-        with pytest.raises(ValueError):
-            graded_solve(target, groups, (1, 1))
+        assert CombinationSolver(groups).solve(target) is None
 
     def test_multi_group_reconstruction(self):
         # decompose random combinations over two operator blocks:
