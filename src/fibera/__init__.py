@@ -8,9 +8,8 @@ cohomology.  All arithmetic is exact.
 """
 
 from .polyform import (NEG_INF, KForm, Polynomial, euler_contraction,
-                       exterior_derivative, form_basis_tuples, lie_derivative,
-                       scaling_substitution, top_component, validate_weights,
-                       wedge, weighted_degree)
+                       exterior_derivative, lie_derivative,
+                       scaling_substitution, validate_weights, wedge)
 from .groebner import (GroebnerBasis, MonomialOrder, buchberger,
                        elimination_ideal, elimination_order, ideal_dimension,
                        quotient_vector_basis)

@@ -87,7 +87,7 @@ def _guard_degree_bound(form, weights, bound):
     if bound is None:
         return
     r = form.weighted_degree(weights)
-    if r != float("-inf") and r > bound:
+    if r > bound:
         raise PreconditionError(
             f"form has weighted degree {r}, exceeding --degree-bound {bound}")
 
@@ -257,10 +257,7 @@ def cmd_decompose(args):
 
 def cmd_subalgebra(args):
     problem = _load_problem(args.file)
-    if args.poly in problem.forms:
-        form = problem.forms[args.poly]
-    else:
-        form = parse_form_expr(args.poly, problem.var_names)
+    form = _resolve_form(args.poly, problem)
     if form.k != 0 and not form.is_zero():
         raise ParseError("subalgebra queries need a polynomial, not a form")
     P = form.as_polynomial() if not form.is_zero() else Polynomial.zero(problem.n)
@@ -324,9 +321,9 @@ def cmd_verify(args):
                 [poly_from_json(a, F.q) for a in result["a"]],
                 form_from_json(witness["omega"], n),
                 [form_from_json(e, n) for e in witness["eta"]])
+        ok = verify_decomposition(omega, payload, F, B)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed witness payload: {exc}")
-    ok = verify_decomposition(omega, payload, F, B)
     if not ok:
         return fail("identity or degree bounds do not hold")
     print("verification: PASS")

@@ -27,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyform import (KForm, NEG_INF, Polynomial, exterior_derivative,
-                       wedge, weighted_degree)
+from .polyform import KForm, Polynomial, exterior_derivative, wedge
 from .gradedlin import (CombinationSolver, ExactLinearSolver, monomial_basis,
                         operator_columns)
 from .infinity import (PreconditionError, is_complete_intersection_at_infinity,
@@ -170,8 +169,7 @@ def _descend(omega, F, y, B):
                 etas[i] = etas[i] + epart
                 subtracted = subtracted + (F.components[i] - y[i]) * epart
         rem = rem - subtracted
-        new_r = rem.weighted_degree(w)
-        if new_r != NEG_INF and new_r >= r:
+        if rem.weighted_degree(w) >= r:
             raise RuntimeError("internal: degree descent failed to decrease")
     return coeffs, omega_part, etas
 
@@ -196,8 +194,8 @@ def relative_exact_homogeneous(omega, F):
     for i, ftop in enumerate(F.top_components):
         df = exterior_derivative(ftop)
         basis = monomial_basis(n, k - 1, w, r - F.degrees[i]) if k >= 1 else []
-        groups.append(operator_columns(f"eta{i + 1}", basis,
-                                       lambda b, df=df: wedge(b, df), n, max(k - 1, 0)))
+        groups.append(operator_columns(basis, lambda b, df=df: wedge(b, df),
+                                       n, max(k - 1, 0)))
     ws = CombinationSolver(groups).solve(omega)
     if ws is None:
         return None
@@ -265,48 +263,33 @@ def is_in_subalgebra(R, F):
 
 
 def verify_decomposition(omega, result, F, B):
-    """Re-expand a decomposition and check the identity and all degree bounds."""
+    """Check the shape, the identity omega = sum c_j b_j + d(Omega) + sum
+    (eta terms) and every degree bound of a FibreClass or a RelativeDecomposition."""
+    if isinstance(result, FibreClass):
+        coeffs = [Polynomial.constant(F.n, c) for c in result.coefficients]
+        terms = [(f - y) * e for y, f, e in zip(result.point, F.components,
+                                                result.eta) if not e.is_zero()]
+        npoint = len(result.point)
+    elif isinstance(result, RelativeDecomposition):
+        coeffs = [a.compose(F.components) for a in result.coeff_polys]
+        terms = [wedge(e, exterior_derivative(f))
+                 for e, f in zip(result.eta, F.components) if not e.is_zero()]
+        npoint = F.q
+    else:
+        raise TypeError(f"cannot verify {type(result).__name__}")
+    if (len(coeffs), len(result.eta), npoint) != (B.mu, F.q, F.q):
+        return False
+    recon = exterior_derivative(result.omega)
+    for t in [c * b for c, b in zip(coeffs, B.forms) if c] + terms:
+        recon = recon + t
+    if recon != omega:
+        return False
     w = F.weights
     r = omega.weighted_degree(w)
-    if isinstance(result, FibreClass):
-        recon = exterior_derivative(result.omega)
-        for c, b in zip(result.coefficients, B.forms):
-            if c:
-                recon = recon + c * b
-        for yi, f, e in zip(result.point, F.components, result.eta):
-            if not e.is_zero():
-                recon = recon + (f - yi) * e
-        if recon != omega:
-            return False
-        if weighted_degree(result.omega, w) > r:
-            return False
-        for d, e in zip(F.degrees, result.eta):
-            if weighted_degree(e, w) > r - d:
-                return False
-        for c, bd in zip(result.coefficients, B.degrees):
-            if c and bd > r:
-                return False
-        return True
-    if isinstance(result, RelativeDecomposition):
-        recon = exterior_derivative(result.omega)
-        for aa, b in zip(result.coeff_polys, B.forms):
-            if not aa.is_zero():
-                recon = recon + aa.compose(F.components) * b
-        for e, f in zip(result.eta, F.components):
-            if not e.is_zero():
-                recon = recon + wedge(e, exterior_derivative(f))
-        if recon != omega:
-            return False
-        if weighted_degree(result.omega, w) > r:
-            return False
-        for aa, bd in zip(result.coeff_polys, B.degrees):
-            if weighted_degree(aa.compose(F.components), w) > r - bd:
-                return False
-        for d, e in zip(F.degrees, result.eta):
-            if weighted_degree(e, w) > r - d:
-                return False
-        return True
-    raise TypeError(f"cannot verify {type(result).__name__}")
+    bounds = [(result.omega, r)]
+    bounds += [(c, r - bd) for c, bd in zip(coeffs, B.degrees)]
+    bounds += [(e, r - d) for e, d in zip(result.eta, F.degrees)]
+    return all(x.weighted_degree(w) <= bound for x, bound in bounds)
 
 
 def verify_vanishing(F, k, y, degree_bound):

@@ -6,11 +6,11 @@ rational linear systems.  This module enumerates the monomial spaces,
 assembles the columns, and solves exactly.
 
 The solver clears denominators column by column and runs fraction-free
-(Bareiss) elimination over the integers, recording every row operation.
-The factorization is reused across targets, so deciding many membership
-questions against one column family costs one elimination.  Witnesses are
-deterministic: first usable pivot in enumeration order, free variables
-set to zero.
+(Bareiss) elimination over the integers, keeping its row swaps and
+multipliers.  The factorization is reused across targets, so deciding
+many membership questions against one column family costs one
+elimination.  Witnesses are deterministic: first usable pivot in
+enumeration order, free variables set to zero.
 """
 
 from __future__ import annotations
@@ -85,17 +85,16 @@ class ExactLinearSolver:
     outside it is immediately unsolvable.
     """
 
-    __slots__ = ("row_index", "nrows", "ncols", "col_scale", "_mat", "_ops", "_pivots")
+    __slots__ = ("row_index", "nrows", "ncols", "col_scale", "_mat", "_perm",
+                 "_pivots")
 
-    def __init__(self, columns, row_keys=None):
+    def __init__(self, columns):
         columns = list(columns)
-        if row_keys is None:
-            keys = set()
-            for col in columns:
-                keys.update(col.keys())
-            row_keys = sorted(keys)
-        self.row_index = {kk: i for i, kk in enumerate(row_keys)}
-        self.nrows = len(row_keys)
+        keys = set()
+        for col in columns:
+            keys.update(col.keys())
+        self.row_index = {kk: i for i, kk in enumerate(sorted(keys))}
+        self.nrows = len(self.row_index)
         self.ncols = len(columns)
         mat = [[0] * self.ncols for _ in range(self.nrows)]
         scale = []
@@ -111,7 +110,9 @@ class ExactLinearSolver:
         self._eliminate(mat)
 
     def _eliminate(self, mat):
-        ops = []
+        """Bareiss in place: row swaps go into _perm, and the multiplier of
+        row r at pivot column c stays in mat[r][c] instead of a zero."""
+        perm = list(range(self.nrows))
         pivots = []
         prev = 1
         rank = 0
@@ -125,21 +126,20 @@ class ExactLinearSolver:
                 continue
             if piv_row != rank:
                 mat[rank], mat[piv_row] = mat[piv_row], mat[rank]
-                ops.append(("swap", rank, piv_row))
+                perm[rank], perm[piv_row] = perm[piv_row], perm[rank]
             prow = mat[rank]
             piv = prow[col]
-            multipliers = []
+            tail = prow[col + 1:]
             for r in range(rank + 1, self.nrows):
                 row = mat[r]
                 v = row[col]
-                multipliers.append(v)
                 # fraction-free update; the division by the previous pivot is exact
-                row[col:] = [(piv * a - v * b) // prev for a, b in zip(row[col:], prow[col:])]
-            ops.append(("elim", rank, piv, prev, multipliers))
+                row[col + 1:] = [(piv * a - v * b) // prev
+                                 for a, b in zip(row[col + 1:], tail)]
             pivots.append((rank, col))
             prev = piv
             rank += 1
-        self._ops = ops
+        self._perm = perm
         self._pivots = pivots
         self._mat = mat
 
@@ -148,17 +148,16 @@ class ExactLinearSolver:
         return len(self._pivots)
 
     def _apply_ops(self, b):
-        for op in self._ops:
-            if op[0] == "swap":
-                _, i, j = op
-                b[i], b[j] = b[j], b[i]
-            else:
-                _, prow, piv, prev, multipliers = op
-                bp = b[prow]
-                base = prow + 1
-                for off, v in enumerate(multipliers):
-                    r = base + off
-                    b[r] = (piv * b[r] - v * bp) / prev
+        mat = self._mat
+        b = [b[i] for i in self._perm]
+        prev = 1
+        for prow, pcol in self._pivots:
+            piv = mat[prow][pcol]
+            bp = b[prow]
+            for r in range(prow + 1, self.nrows):
+                b[r] = (piv * b[r] - mat[r][pcol] * bp) / prev
+            prev = piv
+        return b
 
     def _back_substitute(self, b, x):
         for prow, pcol in reversed(self._pivots):
@@ -179,7 +178,7 @@ class ExactLinearSolver:
             if i is None:
                 return None
             b[i] = Fraction(v)
-        self._apply_ops(b)
+        b = self._apply_ops(b)
         for r in range(self.rank, self.nrows):
             if b[r]:
                 return None
@@ -204,9 +203,8 @@ class ExactLinearSolver:
 
 @dataclass
 class ColumnGroup:
-    """A named block of unknowns: basis forms and their operator images."""
+    """A block of unknowns: basis forms and their operator images."""
 
-    label: str
     n: int
     k: int  # form degree of the unknown space
     basis: list
@@ -217,9 +215,9 @@ class ColumnGroup:
             raise ValueError("basis/images length mismatch")
 
 
-def operator_columns(label, basis, op, n, k):
+def operator_columns(basis, op, n, k):
     """ColumnGroup for a linear operator applied to each basis form."""
-    return ColumnGroup(label, n, k, list(basis), [op(b) for b in basis])
+    return ColumnGroup(n, k, list(basis), [op(b) for b in basis])
 
 
 @dataclass

@@ -15,6 +15,8 @@ which the callers rely on for reproducibility.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .polyform import Polynomial, _eadd
 
 
@@ -48,8 +50,8 @@ class MonomialOrder:
         e = max(terms, key=self.key)
         return e, terms[e]
 
-    def sorted_exponents(self, terms, reverse=True):
-        return sorted(terms, key=self.key, reverse=reverse)
+    def sorted_exponents(self, terms):
+        return sorted(terms, key=self.key, reverse=True)
 
 
 def _divides(a, b):
@@ -260,7 +262,6 @@ def ideal_dimension(basis):
     supports = [frozenset(i for i, a in enumerate(e) if a) for e in basis.leading_exponents()]
     if not supports:
         return n
-    from itertools import combinations
     for size in range(n, 0, -1):
         for S in combinations(range(n), size):
             sset = set(S)

@@ -21,6 +21,7 @@ because the exact subspace is graded.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -128,13 +129,11 @@ class PolyMap:
     def _groups(self, k, r, y):
         n, w, bounded = self.n, self.weights, y is not None
         dbasis = monomial_basis(n, k - 1, w, r, at_most=bounded) if k >= 1 else []
-        groups = [operator_columns("d", dbasis, exterior_derivative,
-                                   n, max(k - 1, 0))]
+        groups = [operator_columns(dbasis, exterior_derivative, n, max(k - 1, 0))]
         gs = self._shifted(y) if bounded else self.top_components
         for i, g in enumerate(gs):
             mbasis = monomial_basis(n, k, w, r - self.degrees[i], at_most=bounded)
-            groups.append(operator_columns(f"g{i + 1}", mbasis,
-                                           lambda b, p=g: p * b, n, k))
+            groups.append(operator_columns(mbasis, lambda b, p=g: p * b, n, k))
         return groups
 
     def solver(self, k, r, y=None, lead=None):
@@ -148,7 +147,7 @@ class PolyMap:
             groups = self.exactness_groups(k, r, y)
             if lead is None:
                 return CombinationSolver(groups)
-            basis = ColumnGroup("basis", self.n, k, list(lead), list(lead))
+            basis = ColumnGroup(self.n, k, list(lead), list(lead))
             return CombinationSolver([basis] + groups)
         return self._cached(("solver", k, r, y, lead), make)
 
@@ -183,23 +182,17 @@ def _wedge_differentials(polys):
     return out
 
 
+@dataclass
 class CompleteIntersectionCheck:
     """CIA verdict with the dimensions behind it."""
 
-    __slots__ = ("is_cia", "dim_fibre", "dim_singular", "codim_required")
-
-    def __init__(self, is_cia, dim_fibre, dim_singular, codim_required):
-        self.is_cia = is_cia
-        self.dim_fibre = dim_fibre
-        self.dim_singular = dim_singular
-        self.codim_required = codim_required
+    is_cia: bool
+    dim_fibre: int
+    dim_singular: int
+    codim_required: int
 
     def __bool__(self):
         return self.is_cia
-
-    def __repr__(self):
-        return (f"CompleteIntersectionCheck(is_cia={self.is_cia}, "
-                f"dim_fibre={self.dim_fibre}, dim_singular={self.dim_singular})")
 
 
 def is_complete_intersection_at_infinity(F):
@@ -322,7 +315,7 @@ def infinity_basis(F):
     k = F.n - F.q
     for r, _, cand in candidates:
         same = [b for b, d in zip(kept, kept_degrees) if d == r]
-        groups = [ColumnGroup("kept", F.n, k, same, same)] + F.exactness_groups(k, r)
+        groups = [ColumnGroup(F.n, k, same, same)] + F.exactness_groups(k, r)
         if CombinationSolver(groups).solve(cand) is None:
             kept.append(cand)
             kept_degrees.append(r)

@@ -19,12 +19,8 @@ All coefficient arithmetic is exact rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 NEG_INF = float("-inf")
-
-Exponent = tuple  # exponent tuple, length n
-Indices = tuple  # strictly increasing tuple of variable indices
 
 
 def validate_weights(weights, n=None):
@@ -510,16 +506,6 @@ def _as_form(f):
     return KForm.from_polynomial(f) if isinstance(f, Polynomial) else f
 
 
-def weighted_degree(f, w):
-    """Weighted degree of a polynomial or form; NEG_INF for zero."""
-    return f.weighted_degree(w)
-
-
-def top_component(f, w):
-    """Sum of the terms of maximal weighted degree."""
-    return f.top_component(w)
-
-
 def wedge(a, b):
     return _as_form(a).wedge(_as_form(b))
 
@@ -560,8 +546,3 @@ def scaling_substitution(f, w):
         res[S] = Polynomial(f.n + 1,
                             {e + (_wdeg(e, w) + shift,): c for e, c in P.terms.items()})
     return KForm(f.n + 1, f.k, res)
-
-
-def form_basis_tuples(n, k):
-    """All strictly increasing k-tuples of indices, in lexicographic order."""
-    return list(combinations(range(n), k))

@@ -61,6 +61,31 @@ def dict_columns_rank(cols):
     return matrix_rank(rows)
 
 
+def solve_independent(columns, target):
+    """The x with sum_j x[j] * columns[j] == target, or None if there is none.
+
+    Columns are equal-length lists and must be linearly independent, so a
+    solution is unique when it exists.  Gauss-Jordan on the augmented rows.
+    """
+    n = len(columns)
+    rows = [[Fraction(c[i]) for c in columns] + [Fraction(t)]
+            for i, t in enumerate(target)]
+    for col in range(n):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            raise ValueError("columns are linearly dependent")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        prow = [v / rows[col][col] for v in rows[col]]
+        rows[col] = prow
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                c = row[col]
+                rows[i] = [a - c * b for a, b in zip(row, prow)]
+    if any(row[n] for row in rows[n:]):
+        return None
+    return [row[n] for row in rows[:n]]
+
+
 # ---------------------------------------------------------------------------
 # monomial bookkeeping
 

@@ -308,6 +308,11 @@ class TestJsonOutput:
         assert form_from_json([], 3).is_zero()
 
 
+def _short_point_third_eta(obj):
+    obj["point"] = obj["point"][:1]
+    obj["witness"]["eta"].append([])
+
+
 class TestVerify:
     def _emit(self, capsys, tmp_path, argv, name="witness.json"):
         code, out, _ = run(capsys, argv)
@@ -354,6 +359,38 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", str(path)])
         assert code == EXIT_MATH
         assert "identity or degree bounds do not hold" in out
+
+    @pytest.mark.parametrize("command, edit", [
+        ("class", lambda obj: obj["result"]["lambda"].append("0")),
+        ("class", _short_point_third_eta),
+        ("decompose", lambda obj: obj["result"]["a"].append([])),
+        ("decompose", lambda obj: obj["witness"]["eta"].append([])),
+    ], ids=["sixth-lambda", "short-point-third-eta", "sixth-a", "third-eta"])
+    def test_verify_rejects_misshaped_witness(self, capsys, tmp_path,
+                                              golden_file, command, edit):
+        argv = [command, golden_file, "--form", "w1", "--json"]
+        if command == "class":
+            argv += ["--point", "1,2", "--witness"]
+        path, obj = self._emit(capsys, tmp_path, argv)
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, ["verify", str(path)])
+        assert code == EXIT_MATH
+        assert out == ("verification: FAIL "
+                       "(identity or degree bounds do not hold)\n")
+
+    def test_verify_wrong_degree_eta_is_a_parse_error(self, capsys, tmp_path,
+                                                      golden_file):
+        path, obj = self._emit(capsys, tmp_path,
+                               ["decompose", golden_file, "--form", "w1",
+                                "--json"])
+        obj["witness"]["eta"][0] = [[[1, 0, 0], [0, 1], "1"]]
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, ["verify", str(path)])
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == ("parse error: malformed witness payload: "
+                       "cannot add forms of different degree\n")
 
     def test_verify_rejects_hash_mismatch(self, capsys, tmp_path,
                                           golden_file):

@@ -27,7 +27,6 @@ from fibera import (
     verify_decomposition,
     verify_vanishing,
     wedge,
-    weighted_degree,
 )
 from fibera import fibre, infinity
 from conftest import make_random_form, make_random_poly, variables
@@ -70,7 +69,7 @@ class TestBoundedIdealMembership:
             recon = recon + a * (f - Polynomial.constant(3, c))
         assert recon == P
         for a, d in zip(cof, F.degrees):
-            assert weighted_degree(a, F.weights) <= P.weighted_degree(F.weights) - d
+            assert a.weighted_degree(F.weights) <= P.weighted_degree(F.weights) - d
 
     def test_random_members(self, golden_map):
         rng = random.Random(62)
@@ -120,10 +119,10 @@ class TestExactOnFibre:
                 recon = recon + s * eta
             assert recon == target
             # certified degree bounds
-            r = weighted_degree(target, F.weights)
-            assert weighted_degree(Omega, F.weights) <= r
+            r = target.weighted_degree(F.weights)
+            assert Omega.weighted_degree(F.weights) <= r
             for eta, d in zip(ws, F.degrees):
-                assert weighted_degree(eta, F.weights) <= r - d
+                assert eta.weighted_degree(F.weights) <= r - d
 
     def test_basis_forms_are_not_exact(self, golden_map, golden_basis):
         y = golden_map.point([1, 0])
@@ -380,6 +379,24 @@ class TestVerifyDecomposition:
         bad_coeffs = list(dec.coeff_polys)
         bad_coeffs[0] = bad_coeffs[0] + 1
         bad = RelativeDecomposition(bad_coeffs, dec.omega, list(dec.eta))
+        assert not verify_decomposition(f, bad, F, B)
+
+    def test_rejects_extra_coefficient(self, golden_map, golden_basis):
+        F, B = golden_map, golden_basis
+        f = B.forms[1]
+        cls = fibre_class(f, F, F.point([1, 2]), B)
+        assert verify_decomposition(f, cls, F, B)
+        bad = FibreClass(cls.point, cls.coefficients + [Fraction(0)],
+                         cls.omega, list(cls.eta))
+        assert not verify_decomposition(f, bad, F, B)
+
+    def test_rejects_extra_eta(self, golden_map, golden_basis):
+        F, B = golden_map, golden_basis
+        f = F.components[0] * B.forms[1]
+        dec = relative_decompose(f, F, B)
+        assert verify_decomposition(f, dec, F, B)
+        bad = RelativeDecomposition(list(dec.coeff_polys), dec.omega,
+                                    dec.eta + [KForm.zero(3, 0)])
         assert not verify_decomposition(f, bad, F, B)
 
     def test_rejects_unknown_payload(self, golden_map, golden_basis):

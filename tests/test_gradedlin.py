@@ -156,6 +156,72 @@ class TestExactLinearSolver:
             assert mine == oracles.matrix_rank(rows)
 
 
+
+def _sparse_columns(rng, m, n, rational):
+    """n sparse columns over rows 0..m-1; nearly half are combinations of
+    two earlier columns, so most systems are rank deficient."""
+    def value():
+        den = rng.choice([1, 2, 3, 5]) if rational else 1
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), den)
+
+    cols = []
+    for _ in range(n):
+        if len(cols) >= 2 and rng.random() < 0.45:
+            a, b = rng.sample(cols, 2)
+            ca, cb = value(), value()
+            col = {i: ca * a.get(i, 0) + cb * b.get(i, 0) for i in set(a) | set(b)}
+        else:
+            col = {i: value() for i in rng.sample(range(m), rng.randint(1, 3))}
+        cols.append({i: v for i, v in col.items() if v})
+    return cols
+
+
+class TestReplayAgainstOracle:
+    """solve() against an independent oracle: the pivot columns are the
+    greedy independent columns in order, the witness is the unique solution
+    on them with zeros on the free columns."""
+
+    def test_solve_matches_pivot_column_oracle(self):
+        rng = random.Random(48)
+        swapped = rejected_late = solved = deficient = 0
+        for trial in range(40):
+            m, n = rng.randint(4, 12), rng.randint(4, 15)
+            cols = _sparse_columns(rng, m, n, rational=trial % 2 == 1)
+            dense = [[c.get(i, Fraction(0)) for i in range(m)] for c in cols]
+            pivots = []
+            for j, col in enumerate(dense):
+                kept = [dense[p] for p in pivots]
+                if oracles.matrix_rank(kept + [col]) > len(kept):
+                    pivots.append(j)
+            solver = ExactLinearSolver(cols)
+            assert solver.rank == len(pivots)
+            deficient += len(pivots) < min(m, n)
+            # three rows out of place take at least two row swaps
+            swapped += sum(i != p for i, p in enumerate(solver._perm)) >= 3
+            support = sorted({i for c in cols for i in c})
+            targets = []
+            for _ in range(3):
+                xs = [Fraction(rng.randint(-2, 2)) for _ in cols]
+                targets.append([sum(x * col[i] for x, col in zip(xs, dense))
+                                for i in range(m)])
+            for _ in range(2):
+                vals = {i: Fraction(rng.randint(-2, 2)) for i in support}
+                targets.append([vals.get(i, Fraction(0)) for i in range(m)])
+            for b in targets:
+                on_pivots = oracles.solve_independent([dense[p] for p in pivots], b)
+                expected = None
+                if on_pivots is not None:
+                    expected = [Fraction(0)] * len(cols)
+                    for p, v in zip(pivots, on_pivots):
+                        expected[p] = v
+                    solved += 1
+                elif any(b):
+                    rejected_late += 1  # every nonzero row lies in the support
+                assert solver.solve({i: v for i, v in enumerate(b) if v}) == expected
+        assert swapped >= 25 and deficient >= 25
+        assert solved >= 120 and rejected_late >= 30
+
+
 class TestCombinationSolver:
     def test_exterior_derivative_witness(self):
         # x dy + y dx = d(x y)
@@ -164,7 +230,7 @@ class TestCombinationSolver:
         dy = KForm.basis_form(2, (1,))
         target = x * dy + y * dx
         basis = monomial_basis(2, 0, (1, 1), 2)
-        groups = [operator_columns("d", basis, exterior_derivative, 2, 0)]
+        groups = [operator_columns(basis, exterior_derivative, 2, 0)]
         ws = CombinationSolver(groups).solve(target)
         assert ws is not None
         assert exterior_derivative(ws[0].combination) == target
@@ -177,7 +243,7 @@ class TestCombinationSolver:
         dy = KForm.basis_form(2, (1,))
         target = x * dy - y * dx
         basis = monomial_basis(2, 0, (1, 1), 2)
-        groups = [operator_columns("d", basis, exterior_derivative, 2, 0)]
+        groups = [operator_columns(basis, exterior_derivative, 2, 0)]
         assert CombinationSolver(groups).solve(target) is None
 
     def test_multi_group_reconstruction(self):
@@ -190,8 +256,8 @@ class TestCombinationSolver:
         dbasis = monomial_basis(2, 0, (1, 1), r)
         mbasis = monomial_basis(2, 1, (1, 1), r - 2)
         groups = [
-            operator_columns("d", dbasis, exterior_derivative, 2, 0),
-            operator_columns("p", mbasis, lambda b: p * b, 2, 1),
+            operator_columns(dbasis, exterior_derivative, 2, 0),
+            operator_columns(mbasis, lambda b: p * b, 2, 1),
         ]
         solver = CombinationSolver(groups)
         for _ in range(10):
@@ -215,7 +281,7 @@ class TestCombinationSolver:
         # inhomogeneous target against degree-bounded blocks
         x, y = variables(2)
         dbasis = monomial_basis(2, 0, (1, 1), 3, at_most=True)
-        groups = [operator_columns("d", dbasis, exterior_derivative, 2, 0)]
+        groups = [operator_columns(dbasis, exterior_derivative, 2, 0)]
         target = exterior_derivative(x * y + x ** 2 * y - 3 * x)
         ws = CombinationSolver(groups).solve(target)
         assert ws is not None
@@ -223,4 +289,4 @@ class TestCombinationSolver:
 
     def test_group_shapes(self):
         with pytest.raises(ValueError):
-            ColumnGroup("bad", 2, 0, [KForm.zero(2, 0)], [])
+            ColumnGroup(2, 0, [KForm.zero(2, 0)], [])

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a library module imports is used there."""
+"""Source hygiene: every name a library module imports is used there, and
+every name it defines at module level is used somewhere."""
 from __future__ import annotations
 
 import ast
@@ -7,6 +8,7 @@ from pathlib import Path
 import fibera
 
 SRC = Path(fibera.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(path):
@@ -44,3 +46,53 @@ def test_scan_flags_an_unused_name(tmp_path):
     mod.write_text("import os\nfrom math import gcd, lcm\n"
                    "__all__ = ['gcd']\nprint(lcm)\n")
     assert _unused_imports(mod) == [(1, "os")]
+
+
+def _dead_names(modules, sources):
+    """(module, name) for each function, class or assigned name defined at
+    the top level of a module and never used in any source file.  A use is
+    a loaded name, an attribute, or a string constant spelling the name (so
+    names listed in __all__ or looked up by string count); dunders are exempt."""
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                used.add(node.value)
+    dead = []
+    for path in modules:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [(path.stem, name) for name in names
+                     if name not in used
+                     and not (name.startswith("__") and name.endswith("__"))]
+    return sorted(dead)
+
+
+def test_library_modules_define_no_dead_names():
+    sources = [p for d in ("src", "tests", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert _dead_names(sorted(SRC.glob("*.py")), sources) == []
+
+
+def test_dead_name_scan_flags_an_unused_name(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("__version__ = '1'\nAlias = tuple\nLOADED = 1\n"
+                   "def helper():\n    return LOADED\n"
+                   "def by_attribute():\n    pass\n"
+                   "def by_string():\n    pass\n"
+                   "class Unused:\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("import mod\nmod.by_attribute()\nNAMES = ['by_string']\n"
+                    "helper = None\n")
+    assert _dead_names([mod], [mod, user]) == [("mod", "Alias"), ("mod", "Unused"),
+                                               ("mod", "helper")]

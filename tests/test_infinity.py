@@ -339,7 +339,7 @@ class TestInfinityBasis:
                 cand = P * g
                 r = cand.weighted_degree(w)
                 same = [b for b, d in zip(B.forms, B.degrees) if d == r]
-                groups = [ColumnGroup("basis", 3, 1, same, list(same))]
+                groups = [ColumnGroup(3, 1, same, list(same))]
                 groups.extend(F.exactness_groups(1, r))
                 assert CombinationSolver(groups).solve(cand) is not None
 
@@ -367,7 +367,7 @@ class TestSolverAccessor:
         rng = random.Random(89)
         for r in (2, 3):
             same = [b for b, d in zip(B.forms, B.degrees) if d == r]
-            groups = [ColumnGroup("basis", 3, 1, same, list(same))]
+            groups = [ColumnGroup(3, 1, same, list(same))]
             hand = CombinationSolver(groups + F.exactness_groups(1, r))
             cached = F.solver(1, r, lead=same)
             space = monomial_basis(3, 1, (1, 1, 1), r)
