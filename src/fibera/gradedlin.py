@@ -11,12 +11,19 @@ multipliers.  The factorization is reused across targets, so deciding
 many membership questions against one column family costs one
 elimination.  Witnesses are deterministic: first usable pivot in
 enumeration order, free variables set to zero.
+
+Where only a rank profile is needed, pivot_columns_mod_p reduces the
+columns modulo a prime with sparse pivot dicts instead: no exact
+elimination, and no witness.  Its pivot columns are independent over Q
+as well (they have a minor that is nonzero mod p), but a rank mod p can
+fall below the rank over Q, so a caller certifies the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import lcm
 
@@ -24,8 +31,8 @@ from .polyform import KForm, Polynomial
 
 __all__ = [
     "weighted_exponents", "monomial_basis", "kform_coordinates",
-    "ExactLinearSolver", "ColumnGroup", "operator_columns", "GroupWitness",
-    "CombinationSolver",
+    "pivot_columns_mod_p", "ExactLinearSolver", "ColumnGroup",
+    "operator_columns", "GroupWitness", "CombinationSolver",
 ]
 
 
@@ -74,6 +81,52 @@ def kform_coordinates(f):
     for S, P in f.coeffs.items():
         for e, c in P.terms.items():
             out[(S, e)] = c
+    return out
+
+
+def pivot_columns_mod_p(columns, p):
+    """Indices of the columns independent of the columns before them
+    modulo the prime p, or None when an entry's denominator is divisible
+    by p.
+
+    Columns are sparse dicts of rationals over comparable row keys.  A
+    pivot is stored under its pivot row, the smallest key of the reduced
+    column, as a dict of the column's other entries scaled so that the
+    pivot entry is 1; all those keys are larger.  A column is reduced by
+    eliminating its pivot rows in increasing order, so each pivot row is
+    eliminated at most once.
+    """
+    pivots = {}
+    out = []
+    for j, col in enumerate(columns):
+        v = {}
+        for key, c in col.items():
+            if c.denominator % p == 0:
+                return None
+            c = c.numerator * pow(c.denominator, -1, p) % p
+            if c:
+                v[key] = c
+        todo = [key for key in v if key in pivots]
+        heapify(todo)
+        while todo:
+            key = heappop(todo)
+            c = v.pop(key, 0)
+            if not c:
+                continue
+            for k2, a in pivots[key].items():
+                old = v.get(k2)
+                t = ((old or 0) - c * a) % p
+                if t:
+                    v[k2] = t
+                    if old is None and k2 in pivots:
+                        heappush(todo, k2)
+                elif old is not None:
+                    del v[k2]
+        if v:
+            key = min(v)
+            inv = pow(v.pop(key), -1, p)
+            pivots[key] = {k2: a * inv % p for k2, a in v.items()}
+            out.append(j)
     return out
 
 

@@ -29,11 +29,14 @@ from .polyform import (KForm, Polynomial, euler_contraction,
                        exterior_derivative, validate_weights, wedge)
 from .groebner import (MonomialOrder, buchberger, elimination_order,
                        ideal_dimension, quotient_vector_basis)
-from .gradedlin import (ColumnGroup, CombinationSolver, monomial_basis,
-                        operator_columns)
+from .gradedlin import (ColumnGroup, CombinationSolver, kform_coordinates,
+                        monomial_basis, operator_columns, pivot_columns_mod_p)
 
 # Entries a PolyMap keeps in its cache before it drops the oldest.
 CACHE_LIMIT = 256
+
+# Primes for infinity_basis's rank profile, in the order they are tried.
+BASIS_PRIMES = (2**61 - 1, 2**31 - 1)
 
 
 class PreconditionError(ValueError):
@@ -290,35 +293,53 @@ def infinity_basis(F):
 
     Candidates are sorted by weighted degree, ties in enumeration order; a
     candidate is kept when it is not in (exact at infinity) + span(kept).
-    Exactly mu forms survive.
+    Each degree r is one pass: the columns of exactness_groups(k, r), then
+    the degree-r candidates, reduced modulo a prime p; the candidates that
+    are pivot columns are kept.
+
+    The kept forms are certified without exact elimination by two checks:
+    (a) in every candidate degree r the pivots span the whole k-form piece
+    mod p, and since rank over Q is at least rank mod p, E_r + span(kept_r)
+    is that whole piece over Q, so |kept_r| >= h_r, the dimension of the
+    cohomology at infinity in degree r; (b) the kept forms number mu.  Two
+    facts close the argument: the candidates span the cohomology (so h_r
+    is 0 outside the candidate degrees), and its dimension is mu, the
+    paper's dim H^(n-q)(F^-1(infinity)) = mu.  Then sum h_r = mu forces
+    |kept_r| = h_r in every degree, so the kept forms are a basis.  When a
+    prime fails a check, or divides a denominator, the next prime of
+    BASIS_PRIMES is tried.
     """
     dim = singular_dimension(F)
     if dim > 0:
         raise PreconditionError("non-isolated singularity at infinity")
-    mu = milnor_number(F)
-    if mu == 0:
-        return InfinityBasis([], [], 0)
     std = quotient_vector_basis(F.singular_gb)
+    mu = len(std)
     kernel_gens = koszul_kernel_generators(F)
-    w = F.weights
-    candidates = []
-    pos = 0
+    by_degree = {}
     for e in std:
         P = Polynomial.monomial(F.n, e)
         for g in kernel_gens:
             c = P * g
-            candidates.append((c.weighted_degree(w), pos, c))
-            pos += 1
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    kept = []
-    kept_degrees = []
+            by_degree.setdefault(c.weighted_degree(F.weights), []).append(c)
+    for p in BASIS_PRIMES:
+        kept = _kept_mod_p(F, by_degree, p)
+        if kept is not None and len(kept) == mu:
+            return InfinityBasis([c for _, c in kept], [r for r, _ in kept], mu)
+    raise RuntimeError("internal: no prime certified the basis at infinity")
+
+
+def _kept_mod_p(F, by_degree, p):
+    """(degree, candidate) pairs kept modulo p, or None when p divides a
+    denominator or some degree's pivots miss part of its k-form piece."""
     k = F.n - F.q
-    for r, _, cand in candidates:
-        same = [b for b, d in zip(kept, kept_degrees) if d == r]
-        groups = [ColumnGroup(F.n, k, same, same)] + F.exactness_groups(k, r)
-        if CombinationSolver(groups).solve(cand) is None:
-            kept.append(cand)
-            kept_degrees.append(r)
-            if len(kept) == mu:
-                return InfinityBasis(kept, kept_degrees, mu)
-    raise RuntimeError("internal: candidate generators do not span the cohomology")
+    kept = []
+    for r, cands in sorted(by_degree.items()):
+        cols = [kform_coordinates(img)
+                for g in F.exactness_groups(k, r) for img in g.images]
+        m = len(cols)
+        cols.extend(kform_coordinates(c) for c in cands)
+        pivots = pivot_columns_mod_p(cols, p)
+        if pivots is None or len(pivots) != len(monomial_basis(F.n, k, F.weights, r)):
+            return None
+        kept.extend((r, cands[j - m]) for j in pivots if j >= m)
+    return kept

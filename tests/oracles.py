@@ -331,6 +331,77 @@ def one_form_class_count(n, weights, tops, forms, degree):
 
 
 # ---------------------------------------------------------------------------
+# the greedy basis of k-form classes at infinity, k = n - q, exactly:
+# candidates x^s * i_X(dx_T) kept when they raise the rank over the degree
+# piece of d(Omega^(k-1)) + sum tops_i Omega^k plus the forms already kept
+
+
+def top_terms(terms, weights):
+    """The terms of highest weighted degree."""
+    top = max(wdeg(e, weights) for e in terms)
+    return {e: c for e, c in terms.items() if wdeg(e, weights) == top}
+
+
+def exactness_columns(n, k, weights, tops, degree):
+    """Columns spanning the degree piece of d(Omega^(k-1)) + sum tops_i Omega^k.
+
+    d(x^e dx_S) = sum_j d_j(x^e) dx_j ^ dx_S, and dx_j ^ dx_S is
+    (-1)^#{s in S : s < j} dx_(S + j), or 0 when j is in S.
+    """
+    cols = []
+    if k >= 1:
+        for S, e in form_monomials(n, k - 1, weights, degree):
+            col = {}
+            for j in range(n):
+                if j in S:
+                    continue
+                sign = -1 if sum(s < j for s in S) % 2 else 1
+                T = tuple(sorted(S + (j,)))
+                for e2, c in poly_derivative({e: F1}, j).items():
+                    col[(T, e2)] = col.get((T, e2), F0) + sign * c
+            cols.append({key: v for key, v in col.items() if v})
+    for g in tops:
+        gd = wdeg(next(iter(g)), weights)
+        for S, a in form_monomials(n, k, weights, degree - gd):
+            cols.append({(S, e): c for e, c in shift_terms(g, a).items()})
+    return cols
+
+
+def greedy_infinity_basis(n, weights, components, std):
+    """Degrees and forms of the greedy basis at infinity of a map, by rank.
+
+    `components` are the map's term dicts and `std` the exponents of the
+    standard monomials, in order.  Candidates x^s * i_X(dx_T) run over s in
+    `std`, then T in lexicographic order, sorted stably by weighted degree;
+    a candidate is kept when it raises the rank of the exact columns of its
+    degree plus the candidates of that degree kept before it.  Stops after
+    len(std) forms.  Forms are {(S, exponent): c} dicts.
+    """
+    tops = [top_terms(f, weights) for f in components]
+    k = n - len(tops)
+    cands = []
+    for s in std:
+        for T in combinations(range(n), k + 1):
+            degree = wdeg(s, weights) + sum(weights[t] for t in T)
+            cands.append((degree, contraction_column(T, s, weights)))
+    cands.sort(key=lambda t: t[0])
+    degrees, forms = [], []
+    exact = {}
+    for degree, cand in cands:
+        if len(forms) == len(std):
+            break
+        if degree not in exact:
+            cols = exactness_columns(n, k, weights, tops, degree)
+            exact[degree] = (cols, dict_columns_rank(cols))
+        cols, rank = exact[degree]
+        same = [f for d, f in zip(degrees, forms) if d == degree]
+        if dict_columns_rank(cols + same + [cand]) > rank + len(same):
+            degrees.append(degree)
+            forms.append(cand)
+    return degrees, forms
+
+
+# ---------------------------------------------------------------------------
 # frozen fixture data: generators written out by hand, expected dimensions
 # derived by hand before the library existed, re-checked here by brute force
 

@@ -17,7 +17,7 @@ from fibera import (
     monomial_basis,
     weighted_exponents,
 )
-from fibera.gradedlin import operator_columns
+from fibera.gradedlin import operator_columns, pivot_columns_mod_p
 from conftest import make_random_form, variables
 import oracles
 
@@ -176,6 +176,39 @@ def _sparse_columns(rng, m, n, rational):
     return cols
 
 
+def _greedy_pivots(dense):
+    """Columns independent of the columns before them, by exact rank."""
+    pivots = []
+    for j, col in enumerate(dense):
+        kept = [dense[p] for p in pivots]
+        if oracles.matrix_rank(kept + [col]) > len(kept):
+            pivots.append(j)
+    return pivots
+
+
+class TestPivotColumnsModP:
+    def test_matches_exact_greedy_pivots(self):
+        rng = random.Random(49)
+        deficient = 0
+        for trial in range(40):
+            m, n = rng.randint(4, 12), rng.randint(4, 15)
+            cols = _sparse_columns(rng, m, n, rational=trial % 2 == 1)
+            dense = [[c.get(i, Fraction(0)) for i in range(m)] for c in cols]
+            pivots = _greedy_pivots(dense)
+            deficient += len(pivots) < min(m, n)
+            assert pivot_columns_mod_p(cols, 2 ** 61 - 1) == pivots
+        assert deficient >= 20
+
+    def test_small_primes_and_denominators(self):
+        cols = [{"a": 1, "b": 2}, {"a": 2, "b": 4}, {"c": Fraction(1, 5)},
+                {"a": 1, "c": 1}, {"b": 1}, {}]
+        assert pivot_columns_mod_p(cols, 2 ** 61 - 1) == [0, 2, 3]
+        # a denominator divisible by p has no residue
+        assert pivot_columns_mod_p(cols, 5) is None
+        # mod 2 the first two columns are a and 0, and b becomes a pivot
+        assert pivot_columns_mod_p(cols[:2] + cols[4:], 2) == [0, 2]
+
+
 class TestReplayAgainstOracle:
     """solve() against an independent oracle: the pivot columns are the
     greedy independent columns in order, the witness is the unique solution
@@ -188,11 +221,7 @@ class TestReplayAgainstOracle:
             m, n = rng.randint(4, 12), rng.randint(4, 15)
             cols = _sparse_columns(rng, m, n, rational=trial % 2 == 1)
             dense = [[c.get(i, Fraction(0)) for i in range(m)] for c in cols]
-            pivots = []
-            for j, col in enumerate(dense):
-                kept = [dense[p] for p in pivots]
-                if oracles.matrix_rank(kept + [col]) > len(kept):
-                    pivots.append(j)
+            pivots = _greedy_pivots(dense)
             solver = ExactLinearSolver(cols)
             assert solver.rank == len(pivots)
             deficient += len(pivots) < min(m, n)

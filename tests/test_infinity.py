@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fibera import (
     KForm,
@@ -27,9 +28,16 @@ from fibera import (
     weighted_exponents,
     wedge,
 )
+from fibera import cli, gradedlin, infinity
 from fibera.gradedlin import ExactLinearSolver
 from conftest import make_random_form, make_random_poly, variables
 import oracles
+
+FERMAT_C4_SOURCE = """\
+vars    = [a, b, c, e]
+weights = [1, 1, 1, 1]
+map     = ["a^3 + b^3 + c^3 + e^3"]
+"""
 
 
 class TestPolyMapConstruction:
@@ -358,6 +366,149 @@ class TestInfinityBasis:
     def test_non_isolated_raises(self, quartic_map):
         with pytest.raises(PreconditionError):
             infinity_basis(quartic_map)
+
+
+def _fermat_c4():
+    a, b, c, e = variables(4)
+    return PolyMap([a ** 3 + b ** 3 + c ** 3 + e ** 3], (1, 1, 1, 1))
+
+
+def _spy_pivots(monkeypatch):
+    """Record (p, result) of every pivot_columns_mod_p call infinity makes."""
+    calls = []
+    real = gradedlin.pivot_columns_mod_p
+
+    def spy(columns, p):
+        out = real(columns, p)
+        calls.append((p, out))
+        return out
+    monkeypatch.setattr(infinity, "pivot_columns_mod_p", spy)
+    return calls
+
+
+class TestModularCertificate:
+    """infinity_basis picks its forms modulo a prime and certifies them."""
+
+    def test_second_prime_rescues_a_bad_first_prime(self, monkeypatch):
+        # mod 3, d(a^3) vanishes, so the first prime fails the certificate
+        want = infinity_basis(_fermat_c4())
+        calls = _spy_pivots(monkeypatch)
+        monkeypatch.setattr(infinity, "BASIS_PRIMES", (3, 2 ** 61 - 1))
+        got = infinity_basis(_fermat_c4())
+        assert {p for p, _ in calls} == {3, 2 ** 61 - 1}
+        assert got.mu == want.mu == 16
+        assert got.degrees == want.degrees
+        assert got.forms == want.forms
+
+    def test_denominator_divisible_by_the_prime_fails_that_prime(
+            self, monkeypatch):
+        x, y, z = variables(3)
+        F = PolyMap([x * z, x ** 2 + Fraction(1, 3) * y ** 2 - z ** 2],
+                    (1, 1, 1))
+        want = infinity_basis(F)
+        calls = _spy_pivots(monkeypatch)
+        monkeypatch.setattr(infinity, "BASIS_PRIMES", (3, 2 ** 61 - 1))
+        got = infinity_basis(F)
+        assert (3, None) in calls
+        assert got.degrees == want.degrees == [2, 2, 2, 3, 3]
+        assert got.forms == want.forms
+
+    @pytest.mark.parametrize("short_in_degree_2", [True, False])
+    def test_each_check_rejects_a_skewed_profile(self, golden_map, golden_basis,
+                                                 monkeypatch, short_in_degree_2):
+        # A skewed profile for p = 101 keeps a dependent candidate in
+        # degree 3.  With one form too few in degree 2 it keeps mu = 5
+        # forms in all, but the span check rejects it at degree 2; without,
+        # it spans every piece but keeps 6 forms, so the count check
+        # rejects it.  The next prime then answers.
+        real = gradedlin.pivot_columns_mod_p
+        calls = []
+
+        def skewed(columns, p):
+            pivots = real(columns, p)
+            if p != 101:
+                return pivots
+            calls.append(p)
+            if len(calls) == 1 and short_in_degree_2:
+                return pivots[:-1]
+            if len(calls) == 2:
+                # the last 9 columns are the degree-3 candidates
+                extra = next(j for j in range(len(columns) - 9, len(columns))
+                             if j not in pivots)
+                return sorted(pivots[1:] + [extra])
+            return pivots
+        monkeypatch.setattr(infinity, "pivot_columns_mod_p", skewed)
+        monkeypatch.setattr(infinity, "BASIS_PRIMES", (101, 2 ** 61 - 1))
+        B = infinity_basis(golden_map)
+        assert len(calls) == (1 if short_in_degree_2 else 3)
+        assert B.degrees == golden_basis.degrees
+        assert B.forms == golden_basis.forms
+
+    def test_every_prime_failing_is_an_internal_error(self, monkeypatch,
+                                                      capsys, tmp_path):
+        monkeypatch.setattr(infinity, "BASIS_PRIMES", (3, 5))
+        with pytest.raises(RuntimeError, match="^internal: "):
+            infinity_basis(_fermat_c4())
+        path = tmp_path / "fermat.fib"
+        path.write_text(FERMAT_C4_SOURCE)
+        code = cli.main(["basis", str(path)])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL == 3
+        assert out == ""
+        assert err.startswith("internal error: ")
+        assert "Traceback" not in err
+
+    def test_no_exact_elimination(self, monkeypatch):
+        # the basis comes from the modular rank profile alone
+        built = []
+        real = ExactLinearSolver.__init__
+
+        def counting(self, columns):
+            built.append(1)
+            real(self, columns)
+        monkeypatch.setattr(ExactLinearSolver, "__init__", counting)
+        assert infinity_basis(_fermat_c4()).mu == 16
+        assert built == []
+
+
+# Random maps with an isolated singularity at infinity: a cubic top on C^3
+# (weights where a weighted cubic can be isolated) or two quadric tops on
+# C^4, plus lower terms that the basis must ignore.
+FAMILIES = {
+    "cubic-c3": (3, ((1, 1, 1), (1, 1, 2), (2, 1, 1)), (3,)),
+    "quadrics-c4": (4, ((1, 1, 1, 1),), (2, 2)),
+}
+
+
+@st.composite
+def isolated_maps(draw):
+    n, weight_choices, degrees = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+    w = draw(st.sampled_from(weight_choices))
+    components = []
+    for d in degrees:
+        monos = oracles.exponents_of_degree(n, w, d)
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos),
+                               max_size=len(monos)))
+        assume(any(coeffs))
+        terms = {e: Fraction(c) for e, c in zip(monos, coeffs) if c}
+        terms[(0,) * n] = Fraction(draw(st.integers(-2, 2)))
+        terms[(1,) + (0,) * (n - 1)] = Fraction(draw(st.integers(-2, 2)))
+        components.append({e: c for e, c in terms.items() if c})
+    return n, w, components
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(isolated_maps())
+def test_basis_equals_exact_greedy_basis(case):
+    n, w, components = case
+    F = PolyMap([Polynomial(n, t) for t in components], w)
+    assume(singular_dimension(F) <= 0)
+    B = infinity_basis(F)
+    std = quotient_vector_basis(F.singular_gb)
+    degrees, forms = oracles.greedy_infinity_basis(n, w, components, std)
+    assert B.mu == len(std) == len(forms)
+    assert B.degrees == degrees
+    assert [kform_coordinates(f) for f in B.forms] == forms
 
 
 class TestSolverAccessor:
