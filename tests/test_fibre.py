@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from copy import deepcopy
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,11 +30,59 @@ from fibera import (
     wedge,
 )
 from fibera import fibre, infinity
+from fibera.gradedlin import ExactLinearSolver, monomial_basis
 from conftest import make_random_form, make_random_poly, variables
+import oracles
 
 
 def _fibre_points(F):
     return [F.point([1, 0]), F.point([1, 2]), F.point([-1, 3])]
+
+
+def _sphere_points(seed, count):
+    """Nonzero rational points drawn the way the vanish-sphere benchmark
+    draws them: point i comes from random.Random(f"{seed}:{i}")."""
+    out = []
+    for i in range(count):
+        rng = random.Random(f"{seed}:{i}")
+        out.append(Fraction(rng.choice([-1, 1]) * rng.randint(1, 30),
+                            rng.randint(1, 5)))
+    return out
+
+
+def _closedness_columns(F, k, y, bound):
+    """Monomial k-forms of degree <= bound and, per form, the normal-form
+    coordinates of d(m) ^ df_1 ^ ... ^ df_q on the fibre over y."""
+    basis = monomial_basis(F.n, k, F.weights, bound, at_most=True)
+    gb = F.fibre_gb(y)
+    cols = []
+    for m in basis:
+        z = wedge(exterior_derivative(m), F.jac_form)
+        cols.append({(S, e): c for S, P in z.coeffs.items()
+                     for e, c in gb.normal_form(P).terms.items()})
+    return basis, cols
+
+
+def _vanishing_by_kernel_solves(F, k, y, bound, basis, cols):
+    """The vanishing report by its first definition: a kernel basis of the
+    closedness columns, and one bounded exactness solve per vector."""
+    kernel = ExactLinearSolver(cols).nullspace()
+    solver = F.solver(k, bound, y)
+    exact = 0
+    for vec in kernel:
+        form = KForm.zero(F.n, k)
+        for c, m in zip(vec, basis):
+            if c:
+                form = form + c * m
+        exact += solver.solve(form) is not None
+    return {
+        "form_degree": k,
+        "degree_bound": bound,
+        "space_dimension": len(basis),
+        "closed_dimension": len(kernel),
+        "exact_dimension": exact,
+        "all_exact": exact == len(kernel),
+    }
 
 
 class TestClosedOnFibre:
@@ -451,3 +500,48 @@ class TestVerifyVanishing:
         report = verify_vanishing(sphere_map, 1, sphere_map.point([1]), 3)
         assert report["all_exact"]
         assert report["closed_dimension"] == report["exact_dimension"]
+
+    @pytest.mark.parametrize("name, ncols", [("sphere_map", 47),
+                                             ("line_map", 27)])
+    def test_exactness_columns_are_closed_on_fibre(self, request, name, ncols):
+        # E lies in K: the rank comparison in verify_vanishing rests on this
+        F = request.getfixturevalue(name)
+        for y in (F.point([0]), F.point([Fraction(-7, 3)])):
+            images = [img for g in F.exactness_groups(1, 4, y)
+                      for img in g.images]
+            assert len(images) == ncols
+            assert all(closed_on_fibre(img, F, y) for img in images)
+
+    def test_matches_kernel_solve_definition(self, sphere_map, line_map):
+        # the kernel solves take about 0.5 s per point at bound 4, so that
+        # bound runs on the first 4 of the 12 points
+        cases = [(line_map, line_map.point([1]), 6)]
+        for i, y in enumerate(_sphere_points(1, 12)):
+            F = PolyMap(sphere_map.components, sphere_map.weights)
+            cases += [(F, F.point([y]), b) for b in (3, 4) if b == 3 or i < 4]
+        for F, y, bound in cases:
+            report = verify_vanishing(F, 1, y, bound)
+            basis, cols = _closedness_columns(F, 1, y, bound)
+            assert report == _vanishing_by_kernel_solves(F, 1, y, bound,
+                                                         basis, cols)
+            assert (report["closed_dimension"]
+                    == report["space_dimension"] - oracles.dict_columns_rank(cols))
+
+    # the sphere at bound 4 has 60 monomial 1-forms, 45 of them closed
+    def _sphere_with_exact_rank(self, sphere_map, monkeypatch, rank):
+        F = PolyMap(sphere_map.components, sphere_map.weights)
+        stub = SimpleNamespace(solver=SimpleNamespace(rank=rank))
+        monkeypatch.setattr(F, "solver", lambda *args, **kw: stub)
+        return F
+
+    def test_exact_rank_below_closed_fails(self, sphere_map, monkeypatch):
+        F = self._sphere_with_exact_rank(sphere_map, monkeypatch, 44)
+        report = verify_vanishing(F, 1, F.point([1]), 4)
+        assert (report["closed_dimension"], report["exact_dimension"],
+                report["all_exact"]) == (45, 44, False)
+
+    def test_exact_rank_above_closed_is_internal_error(self, sphere_map,
+                                                       monkeypatch):
+        F = self._sphere_with_exact_rank(sphere_map, monkeypatch, 46)
+        with pytest.raises(RuntimeError, match="^internal:"):
+            verify_vanishing(F, 1, F.point([1]), 4)

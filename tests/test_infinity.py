@@ -28,7 +28,7 @@ from fibera import (
     weighted_exponents,
     wedge,
 )
-from fibera import cli, gradedlin, infinity
+from fibera import cli, gradedlin, infinity, parse
 from fibera.gradedlin import ExactLinearSolver
 from conftest import make_random_form, make_random_poly, variables
 import oracles
@@ -38,6 +38,25 @@ vars    = [a, b, c, e]
 weights = [1, 1, 1, 1]
 map     = ["a^3 + b^3 + c^3 + e^3"]
 """
+
+
+def _jacobian_algebra_dimension(text, names):
+    """dim Q[x]/(df/dx_1, ..., df/dx_n) from a sympy Groebner basis: the
+    number of monomials that no leading monomial divides."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(names)
+    f = sympy.sympify(text)
+    G = sympy.groebner([sympy.diff(f, v) for v in gens], *gens, order="grevlex")
+    leads = [sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in G.exprs]
+    standard, todo = set(), [(0,) * len(gens)]
+    while todo:
+        e = todo.pop()
+        if e in standard or any(all(a >= b for a, b in zip(e, m)) for m in leads):
+            continue
+        standard.add(e)
+        assert len(standard) < 1000, "Jacobian algebra is not finite"
+        todo.extend(e[:i] + (e[i] + 1,) + e[i + 1:] for i in range(len(e)))
+    return len(standard)
 
 
 class TestPolyMapConstruction:
@@ -130,6 +149,19 @@ class TestMilnorNumber:
         for F, gens, w, expected in cases:
             assert milnor_number(F) == expected
             assert oracles.graded_quotient_dimension(F.n, w, gens) == expected
+
+    @pytest.mark.parametrize("text, names, mu", [
+        ("x^3*y + y^3*z + z^3*x + x*y", "x y z", 27),
+        ("a^3 + b^3 + c^3 + e^3 + a*b", "a b c e", 16),
+        ("x^2 + y^2 + z^2", "x y z", 1),
+    ])
+    def test_global_milnor_number_oracle(self, text, names, mu):
+        # Broughton (1988): for q = 1 with an isolated singularity at
+        # infinity, mu at infinity is the global Milnor number
+        f = parse.parse_polynomial_expr(text, names.split())
+        F = PolyMap([f], (1,) * f.n)
+        assert milnor_number(F) == mu
+        assert _jacobian_algebra_dimension(text, names) == mu
 
     def test_non_isolated_raises(self, quartic_map):
         with pytest.raises(PreconditionError):
