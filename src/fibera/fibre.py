@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyform import KForm, Polynomial, exterior_derivative, wedge
-from .gradedlin import (CombinationSolver, ExactLinearSolver, monomial_basis,
-                        operator_columns)
-from .infinity import (PreconditionError, is_complete_intersection_at_infinity,
-                       singular_dimension)
+from .gradedlin import (CombinationSolver, ExactLinearSolver, kform_coordinates,
+                        monomial_basis, operator_columns, pivot_columns_mod_p)
+from .infinity import (BASIS_PRIMES, PreconditionError,
+                       is_complete_intersection_at_infinity, singular_dimension)
 
 __all__ = [
     "FibreClass", "RelativeDecomposition", "ExactnessResult",
@@ -300,10 +300,16 @@ def verify_vanishing(F, k, y, degree_bound):
     The exact space E is spanned by the columns of the bounded exactness
     solver: d(Omega) and (f_i - y_i) eta_i, all of degree <= degree_bound.
     Every such form is closed on the fibre, so E lies in K, and vanishing
-    holds exactly when rank E = dim K.  Two exact ranks decide it:
-    closed_dimension is dim K and exact_dimension is dim E, which does not
-    depend on any choice of basis.  Requires dim Sing < n - q - k so the
-    bounded exactness search is exhaustive.
+    holds exactly when rank E = dim K.  closed_dimension is dim K and
+    exact_dimension is dim E.  Requires dim Sing < n - q - k so the bounded
+    exactness search is exhaustive.
+
+    Both ranks are first taken modulo p = BASIS_PRIMES[0], which can only
+    lower them: for the N = len(basis) closedness columns C,
+    dim K = N - rank C <= N - rank_p C and rank_p E <= dim E <= dim K, so
+    rank_p C + rank_p E = N forces equality throughout, and a sum above N
+    is an internal error.  Otherwise, or when p divides a denominator,
+    two exact eliminations decide.
     """
     if k < 1:
         raise ValueError("verify_vanishing needs form degree k >= 1")
@@ -323,8 +329,15 @@ def verify_vanishing(F, k, y, degree_bound):
             for e, c in nf.terms.items():
                 coords[(S, e)] = c
         cols.append(coords)
-    closed = len(basis) - ExactLinearSolver(cols).rank
-    exact = F.solver(k, degree_bound, y).solver.rank
+    rc = pivot_columns_mod_p(cols, BASIS_PRIMES[0])
+    re = pivot_columns_mod_p([kform_coordinates(img) for g in
+                              F.exactness_groups(k, degree_bound, y)
+                              for img in g.images], BASIS_PRIMES[0])
+    if rc is not None and re is not None and len(rc) + len(re) >= len(basis):
+        closed, exact = len(basis) - len(rc), len(re)
+    else:
+        closed = len(basis) - ExactLinearSolver(cols).rank
+        exact = F.solver(k, degree_bound, y).solver.rank
     if exact > closed:
         raise RuntimeError("internal: exact forms exceed the closed kernel")
     return {

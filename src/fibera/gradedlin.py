@@ -16,7 +16,9 @@ Where only a rank profile is needed, pivot_columns_mod_p reduces the
 columns modulo a prime with sparse pivot dicts instead: no exact
 elimination, and no witness.  Its pivot columns are independent over Q
 as well (they have a minor that is nonzero mod p), but a rank mod p can
-fall below the rank over Q, so a caller certifies the result.
+fall below the rank over Q, so a caller certifies the result:
+infinity_basis by full-rank pieces and mu kept forms, verify_vanishing by
+closed and exact ranks that sum to the space dimension.
 """
 
 from __future__ import annotations

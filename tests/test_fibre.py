@@ -527,11 +527,13 @@ class TestVerifyVanishing:
             assert (report["closed_dimension"]
                     == report["space_dimension"] - oracles.dict_columns_rank(cols))
 
-    # the sphere at bound 4 has 60 monomial 1-forms, 45 of them closed
+    # the sphere at bound 4 has 60 monomial 1-forms, 45 of them closed;
+    # the mod-p profile is switched off so that the stub is reached
     def _sphere_with_exact_rank(self, sphere_map, monkeypatch, rank):
         F = PolyMap(sphere_map.components, sphere_map.weights)
         stub = SimpleNamespace(solver=SimpleNamespace(rank=rank))
         monkeypatch.setattr(F, "solver", lambda *args, **kw: stub)
+        monkeypatch.setattr(fibre, "pivot_columns_mod_p", lambda cols, p: None)
         return F
 
     def test_exact_rank_below_closed_fails(self, sphere_map, monkeypatch):
@@ -545,3 +547,120 @@ class TestVerifyVanishing:
         F = self._sphere_with_exact_rank(sphere_map, monkeypatch, 46)
         with pytest.raises(RuntimeError, match="^internal:"):
             verify_vanishing(F, 1, F.point([1]), 4)
+
+    def test_certified_path_builds_no_exact_solver(self, sphere_map, line_map,
+                                                   monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("exact elimination on the certified path")
+        monkeypatch.setattr(fibre, "ExactLinearSolver", refuse)
+        cases = [(line_map, [1], 6, (42, 42, 42))]
+        cases += [(sphere_map, [y], 4, (60, 45, 45))
+                  for y in _sphere_points(1, 12)]
+        for G, y, bound, dims in cases:
+            F = PolyMap(G.components, G.weights)
+            monkeypatch.setattr(F, "solver", refuse)
+            report = verify_vanishing(F, 1, F.point(y), bound)
+            assert (report["space_dimension"], report["closed_dimension"],
+                    report["exact_dimension"]) == dims
+            assert report["all_exact"]
+
+    def _sphere_with_profile(self, sphere_map, monkeypatch, edit):
+        """The sphere at bound 4 with each mod-p pivot list passed through
+        edit(call, pivots), call 0 for the closedness columns and 1 for the
+        exactness columns; returns the map and the exact eliminations run."""
+        F = PolyMap(sphere_map.components, sphere_map.weights)
+        real_profile, real_solver = fibre.pivot_columns_mod_p, F.solver
+        calls, exact_runs = [], []
+
+        def profile(cols, p):
+            # one attempt per column family, with the first basis prime
+            calls.append(p)
+            assert p == infinity.BASIS_PRIMES[0] and len(calls) <= 2
+            return edit(len(calls) - 1, real_profile(cols, p))
+
+        def solver(*args, **kw):
+            exact_runs.append("F.solver")
+            return real_solver(*args, **kw)
+
+        def elimination(cols):
+            exact_runs.append("ExactLinearSolver")
+            return ExactLinearSolver(cols)
+        monkeypatch.setattr(fibre, "pivot_columns_mod_p", profile)
+        monkeypatch.setattr(fibre, "ExactLinearSolver", elimination)
+        monkeypatch.setattr(F, "solver", solver)
+        return F, exact_runs
+
+    def test_profile_with_extra_pivot_is_internal_error(self, sphere_map,
+                                                        monkeypatch):
+        F, exact_runs = self._sphere_with_profile(
+            sphere_map, monkeypatch,
+            lambda call, piv: piv + [len(piv)] if call == 1 else piv)
+        with pytest.raises(RuntimeError, match="^internal:"):
+            verify_vanishing(F, 1, F.point([1]), 4)
+        assert exact_runs == []
+
+    @pytest.mark.parametrize("edit", [
+        lambda call, piv: piv[:-1] if call == 1 else piv,
+        lambda call, piv: None if call == 0 else piv,
+        lambda call, piv: None if call == 1 else piv,
+    ], ids=["one-pivot-short", "closed-none", "exact-none"])
+    def test_uncertified_profile_falls_back(self, sphere_map, monkeypatch,
+                                            edit):
+        F, exact_runs = self._sphere_with_profile(sphere_map, monkeypatch, edit)
+        report = verify_vanishing(F, 1, F.point([1]), 4)
+        assert exact_runs == ["ExactLinearSolver", "F.solver"]
+        assert (report["closed_dimension"], report["exact_dimension"],
+                report["all_exact"]) == (45, 45, True)
+
+    def test_point_with_prime_denominator_falls_back(self, sphere_map,
+                                                     monkeypatch):
+        # y = 1/p puts p into the denominators of (f - y) eta, so the
+        # profile mod p is None and exact elimination decides
+        F, exact_runs = self._sphere_with_profile(
+            sphere_map, monkeypatch, lambda call, piv: piv)
+        y = F.point([Fraction(1, infinity.BASIS_PRIMES[0])])
+        report = verify_vanishing(F, 1, y, 4)
+        assert exact_runs == ["ExactLinearSolver", "F.solver"]
+        assert (report["closed_dimension"], report["exact_dimension"],
+                report["all_exact"]) == (45, 45, True)
+
+    def test_certified_matches_exact_on_grid(self, monkeypatch):
+        x, y, z = variables(3)
+        a, b, c, e = variables(4)
+        u, _ = variables(2)
+        # (components, weights, form degree k, degree bounds); an empty
+        # bound list marks a case outside the precondition
+        grid = [
+            ([x ** 2 + y ** 2 + z ** 2], (1, 1, 1), 1, (2, 3, 4, 5)),
+            ([x ** 2 + y ** 2 + z ** 2], (1, 1, 1), 2, ()),
+            ([u], (1, 1), 1, (2, 4, 6)),
+            ([x ** 3 + y ** 3 + z ** 3], (1, 1, 1), 1, (2, 3, 4)),
+            ([x ** 3 + y ** 3 + z ** 3], (1, 1, 1), 2, ()),
+            ([x + y * z], (2, 1, 1), 1, (2, 3, 4, 5)),
+            ([x + y * z], (2, 1, 1), 2, (2, 3, 4, 5)),
+            ([x + y * z], (1, 1, 1), 1, ()),
+            ([a * c + b * e], (1, 1, 1, 1), 1, (2, 3, 4)),
+            ([a * c + b * e], (1, 1, 1, 1), 2, (2, 3, 4)),
+            ([a * c + b * e], (1, 1, 1, 1), 3, ()),
+            ([a * c + b * e, a ** 2 + b ** 2 - c ** 2 + e ** 2],
+             (1, 1, 1, 1), 1, (2, 3)),
+        ]
+        points = [0, 1, Fraction(-7, 3), Fraction(5, 2)]
+
+        def reports(F, k, pt, bounds):
+            if not bounds:
+                with pytest.raises(PreconditionError):
+                    verify_vanishing(F, k, pt, 2)
+            return [verify_vanishing(F, k, pt, bd) for bd in bounds]
+
+        checked = 0
+        for comps, weights, k, bounds in grid:
+            for t in points:
+                F = PolyMap(comps, weights)
+                pt = F.point([t] * F.q)
+                certified = reports(F, k, pt, bounds)
+                with monkeypatch.context() as m:
+                    m.setattr(fibre, "pivot_columns_mod_p", lambda cols, p: None)
+                    assert reports(F, k, pt, bounds) == certified
+                checked += len(bounds)
+        assert checked == 4 * 26
