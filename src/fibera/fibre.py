@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyform import KForm, Polynomial, exterior_derivative, wedge
-from .gradedlin import (CombinationSolver, ExactLinearSolver, kform_coordinates,
-                        monomial_basis, operator_columns, pivot_columns_mod_p)
+from .gradedlin import (CombinationSolver, ExactLinearSolver, monomial_basis,
+                        operator_columns, pivot_columns_mod_p)
 from .infinity import (BASIS_PRIMES, PreconditionError,
                        is_complete_intersection_at_infinity, singular_dimension)
 
@@ -330,8 +330,7 @@ def verify_vanishing(F, k, y, degree_bound):
                 coords[(S, e)] = c
         cols.append(coords)
     rc = pivot_columns_mod_p(cols, BASIS_PRIMES[0])
-    re = pivot_columns_mod_p([kform_coordinates(img) for g in
-                              F.exactness_groups(k, degree_bound, y)
+    re = pivot_columns_mod_p([img for g in F.exactness_groups(k, degree_bound, y)
                               for img in g.images], BASIS_PRIMES[0])
     if rc is not None and re is not None and len(rc) + len(re) >= len(basis):
         closed, exact = len(basis) - len(rc), len(re)

@@ -2,8 +2,9 @@
 
 Questions like "is omega a combination d(Omega) + sum (f_i - y_i) eta_i
 with all parts in explicit finite-dimensional monomial spaces" reduce to
-rational linear systems.  This module enumerates the monomial spaces,
-assembles the columns, and solves exactly.
+rational linear systems.  This module enumerates the monomial spaces as
+keys (S, e) for x^e dx_S, assembles the columns from those keys as
+coordinate dicts {(S, e): coefficient}, and solves exactly.
 
 The solver clears denominators column by column and runs fraction-free
 (Bareiss) elimination over the integers, keeping its row swaps and
@@ -29,10 +30,11 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import lcm
 
-from .polyform import KForm, Polynomial
+from .polyform import KForm, Polynomial, _eadd, _merge_indices
 
 __all__ = [
-    "weighted_exponents", "monomial_basis", "kform_coordinates",
+    "weighted_exponents", "monomial_keys", "monomial_basis",
+    "kform_coordinates", "coordinates_kform", "d_column", "product_column",
     "pivot_columns_mod_p", "ExactLinearSolver", "ColumnGroup",
     "operator_columns", "GroupWitness", "CombinationSolver",
 ]
@@ -59,22 +61,24 @@ def weighted_exponents(n, weights, degree, at_most=False):
         e[i] = 0
 
     rec(0, degree)
-    out.sort()
     return out
 
 
-def monomial_basis(n, k, weights, degree, at_most=False):
-    """Monomial k-forms x^a dx_S of weighted degree == degree (or <=).
+def monomial_keys(n, k, weights, degree, at_most=False):
+    """Keys (S, e) of the monomial k-forms x^e dx_S of weighted degree
+    == degree (or <=).
 
     Index tuples S run lexicographically; exponents lexicographically
     inside each S.  The empty list for negative degrees.
     """
-    out = []
-    for S in combinations(range(n), k):
-        shift = sum(weights[i] for i in S)
-        for e in weighted_exponents(n, weights, degree - shift, at_most=at_most):
-            out.append(KForm.monomial_form(Polynomial.monomial(n, e), S))
-    return out
+    return [(S, e) for S in combinations(range(n), k) for e in weighted_exponents(
+        n, weights, degree - sum(weights[i] for i in S), at_most)]
+
+
+def monomial_basis(n, k, weights, degree, at_most=False):
+    """The forms x^e dx_S of monomial_keys, in the same order."""
+    return [KForm.monomial_form(Polynomial.monomial(n, e), S)
+            for S, e in monomial_keys(n, k, weights, degree, at_most)]
 
 
 def kform_coordinates(f):
@@ -84,6 +88,29 @@ def kform_coordinates(f):
         for e, c in P.terms.items():
             out[(S, e)] = c
     return out
+
+
+def coordinates_kform(n, k, coords):
+    """The k-form with coordinates {(S, exponent): coefficient}."""
+    coeffs = {}
+    for (S, e), c in coords.items():
+        coeffs.setdefault(S, {})[e] = c
+    return KForm(n, k, coeffs)
+
+
+def d_column(S, e):
+    """Coordinates of d(x^e dx_S): e_i at (S with i, e - 1_i), signed."""
+    out = {}
+    for i, a in enumerate(e):
+        if a and i not in S:
+            sign, M = _merge_indices((i,), S)
+            out[(M, e[:i] + (a - 1,) + e[i + 1:])] = sign * a
+    return out
+
+
+def product_column(g, S, e):
+    """Coordinates of g x^e dx_S for a polynomial g."""
+    return {(S, _eadd(e, m)): c for m, c in g.terms.items()}
 
 
 def pivot_columns_mod_p(columns, p):
@@ -258,7 +285,7 @@ class ExactLinearSolver:
 
 @dataclass
 class ColumnGroup:
-    """A block of unknowns: basis forms and their operator images."""
+    """A block of unknowns: coordinates of basis forms and of their images."""
 
     n: int
     k: int  # form degree of the unknown space
@@ -272,7 +299,8 @@ class ColumnGroup:
 
 def operator_columns(basis, op, n, k):
     """ColumnGroup for a linear operator applied to each basis form."""
-    return ColumnGroup(n, k, list(basis), [op(b) for b in basis])
+    return ColumnGroup(n, k, [kform_coordinates(b) for b in basis],
+                       [kform_coordinates(op(b)) for b in basis])
 
 
 @dataclass
@@ -290,11 +318,8 @@ class CombinationSolver:
 
     def __init__(self, groups):
         self.groups = list(groups)
-        cols = []
-        for g in self.groups:
-            for img in g.images:
-                cols.append(kform_coordinates(img))
-        self.solver = ExactLinearSolver(cols)
+        self.solver = ExactLinearSolver([img for g in self.groups
+                                         for img in g.images])
 
     def solve(self, target):
         sol = self.solver.solve(kform_coordinates(target))
@@ -305,10 +330,10 @@ class CombinationSolver:
         for g in self.groups:
             coeffs = sol[pos:pos + len(g.basis)]
             pos += len(g.basis)
-            comb = KForm.zero(g.n, g.k)
+            comb = {}
             for c, b in zip(coeffs, g.basis):
                 if c:
-                    comb = comb + c * b
-            out.append(GroupWitness(coeffs, comb))
+                    for key, v in b.items():
+                        comb[key] = comb.get(key, 0) + c * v
+            out.append(GroupWitness(coeffs, coordinates_kform(g.n, g.k, comb)))
         return out
-

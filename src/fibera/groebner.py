@@ -15,6 +15,7 @@ which the callers rely on for reproducibility.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .polyform import Polynomial, _eadd
@@ -141,8 +142,8 @@ class GroebnerBasis:
 def buchberger(gens, order):
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Normal selection strategy (smallest lcm first) with both classical
-    pair-skipping criteria.
+    Normal selection strategy (smallest lcm first, ties by pair index),
+    pairs kept in a heap, with both classical pair-skipping criteria.
     """
     basis = []  # list of term dicts
     data = []  # parallel (lead_exp, lead_coeff, terms)
@@ -168,15 +169,14 @@ def buchberger(gens, order):
     def lcm_exp(a, b):
         return tuple(max(x, y) for x, y in zip(a, b))
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    pairs = [(order.key(lcm_exp(data[i][0], data[j][0])), i, j)
+             for j in range(len(basis)) for i in range(j)]
+    heapify(pairs)
     done = set()
 
     while pairs:
-        best = min(pairs, key=lambda p: (order.key(lcm_exp(data[p[0]][0], data[p[1]][0])),
-                                         p[0], p[1]))
-        pairs.remove(best)
-        done.add(best)
-        i, j = best
+        _, i, j = heappop(pairs)
+        done.add((i, j))
         ei, ci, ti = data[i]
         ej, cj, tj = data[j]
         l = lcm_exp(ei, ej)
@@ -225,7 +225,7 @@ def buchberger(gens, order):
         basis.append(h)
         data.append((he, hc, h))
         for m in range(new):
-            pairs.add((m, new))
+            heappush(pairs, (order.key(lcm_exp(data[m][0], he)), m, new))
 
     # minimalize: drop generators whose leading monomial another divides
     order_idx = sorted(range(len(basis)), key=lambda i: order.key(data[i][0]))

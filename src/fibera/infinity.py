@@ -29,8 +29,19 @@ from .polyform import (KForm, Polynomial, euler_contraction,
                        exterior_derivative, validate_weights, wedge)
 from .groebner import (MonomialOrder, buchberger, elimination_order,
                        ideal_dimension, quotient_vector_basis)
-from .gradedlin import (ColumnGroup, CombinationSolver, kform_coordinates,
-                        monomial_basis, operator_columns, pivot_columns_mod_p)
+from .gradedlin import (ColumnGroup, CombinationSolver, d_column,
+                        kform_coordinates, monomial_basis, monomial_keys,
+                        pivot_columns_mod_p, product_column)
+
+# monomial_basis is re-exported: perfbench/selftest.py checks that tracing
+# wraps a gradedlin name where infinity re-imports it.
+__all__ = [
+    "CACHE_LIMIT", "BASIS_PRIMES", "PreconditionError", "PolyMap",
+    "CompleteIntersectionCheck", "is_complete_intersection_at_infinity",
+    "singular_dimension", "milnor_number", "koszul_kernel_generators",
+    "euler_normalize", "closed_at_infinity", "exact_at_infinity",
+    "InfinityBasis", "infinity_basis", "monomial_basis",
+]
 
 # Entries a PolyMap keeps in its cache before it drops the oldest.
 CACHE_LIMIT = 256
@@ -131,12 +142,14 @@ class PolyMap:
 
     def _groups(self, k, r, y):
         n, w, bounded = self.n, self.weights, y is not None
-        dbasis = monomial_basis(n, k - 1, w, r, at_most=bounded) if k >= 1 else []
-        groups = [operator_columns(dbasis, exterior_derivative, n, max(k - 1, 0))]
+        keys = monomial_keys(n, k - 1, w, r, bounded) if k >= 1 else []
+        groups = [ColumnGroup(n, max(k - 1, 0), [{m: 1} for m in keys],
+                              [d_column(*m) for m in keys])]
         gs = self._shifted(y) if bounded else self.top_components
         for i, g in enumerate(gs):
-            mbasis = monomial_basis(n, k, w, r - self.degrees[i], at_most=bounded)
-            groups.append(operator_columns(mbasis, lambda b, p=g: p * b, n, k))
+            keys = monomial_keys(n, k, w, r - self.degrees[i], bounded)
+            groups.append(ColumnGroup(n, k, [{m: 1} for m in keys],
+                                      [product_column(g, *m) for m in keys]))
         return groups
 
     def solver(self, k, r, y=None, lead=None):
@@ -150,7 +163,8 @@ class PolyMap:
             groups = self.exactness_groups(k, r, y)
             if lead is None:
                 return CombinationSolver(groups)
-            basis = ColumnGroup(self.n, k, list(lead), list(lead))
+            coords = [kform_coordinates(f) for f in lead]
+            basis = ColumnGroup(self.n, k, coords, coords)
             return CombinationSolver([basis] + groups)
         return self._cached(("solver", k, r, y, lead), make)
 
@@ -334,12 +348,11 @@ def _kept_mod_p(F, by_degree, p):
     k = F.n - F.q
     kept = []
     for r, cands in sorted(by_degree.items()):
-        cols = [kform_coordinates(img)
-                for g in F.exactness_groups(k, r) for img in g.images]
+        cols = [img for g in F.exactness_groups(k, r) for img in g.images]
         m = len(cols)
         cols.extend(kform_coordinates(c) for c in cands)
         pivots = pivot_columns_mod_p(cols, p)
-        if pivots is None or len(pivots) != len(monomial_basis(F.n, k, F.weights, r)):
+        if pivots is None or len(pivots) != len(monomial_keys(F.n, k, F.weights, r)):
             return None
         kept.extend((r, cands[j - m]) for j in pivots if j >= m)
     return kept

@@ -89,8 +89,8 @@ def _basis_coordinates(forms, F, B):
     for f in forms:
         r = int(f.weighted_degree(F.weights))
         idx = [i for i, d in enumerate(B.degrees) if d == r]
-        same = [B.forms[i] for i in idx]
-        groups = [ColumnGroup(3, 1, same, list(same))]
+        same = [kform_coordinates(B.forms[i]) for i in idx]
+        groups = [ColumnGroup(3, 1, same, same)]
         groups.extend(F.exactness_groups(1, r))
         sol = CombinationSolver(groups).solve(f)
         if sol is None:

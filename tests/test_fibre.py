@@ -30,7 +30,8 @@ from fibera import (
     wedge,
 )
 from fibera import fibre, infinity
-from fibera.gradedlin import ExactLinearSolver, monomial_basis
+from fibera.gradedlin import (ExactLinearSolver, coordinates_kform,
+                              monomial_basis)
 from conftest import make_random_form, make_random_poly, variables
 import oracles
 
@@ -507,8 +508,8 @@ class TestVerifyVanishing:
         # E lies in K: the rank comparison in verify_vanishing rests on this
         F = request.getfixturevalue(name)
         for y in (F.point([0]), F.point([Fraction(-7, 3)])):
-            images = [img for g in F.exactness_groups(1, 4, y)
-                      for img in g.images]
+            images = [coordinates_kform(F.n, 1, img)
+                      for g in F.exactness_groups(1, 4, y) for img in g.images]
             assert len(images) == ncols
             assert all(closed_on_fibre(img, F, y) for img in images)
 

@@ -1,6 +1,7 @@
 """Exact linear algebra over graded pieces of the form spaces."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from fibera import (
     monomial_basis,
     weighted_exponents,
 )
-from fibera.gradedlin import operator_columns, pivot_columns_mod_p
+from fibera.gradedlin import (d_column, monomial_keys, operator_columns,
+                              pivot_columns_mod_p, product_column)
 from conftest import make_random_form, variables
 import oracles
 
@@ -34,6 +36,15 @@ class TestEnumeration:
         got = weighted_exponents(2, (1, 1), 2, at_most=True)
         assert set(got) == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)}
         assert got == sorted(got)
+
+    def test_weighted_exponents_sorted(self):
+        # the recursion emits lexicographic order without a sort
+        for n in (1, 2, 3, 4):
+            for w in itertools.product((1, 2, 3), repeat=n):
+                for d in range(8):
+                    for at_most in (False, True):
+                        got = weighted_exponents(n, w, d, at_most=at_most)
+                        assert got == sorted(got)
 
     def test_counts_match_oracle(self):
         rng = random.Random(41)
@@ -251,6 +262,30 @@ class TestReplayAgainstOracle:
         assert solved >= 120 and rejected_late >= 30
 
 
+class TestColumnBuilders:
+    @pytest.mark.parametrize("weights", [(1, 1, 1, 1), (1, 2, 3, 1)])
+    def test_columns_match_form_arithmetic(self, weights):
+        # d- and multiplication columns built from keys equal the coordinates
+        # of the same images computed with KForm arithmetic
+        for n in (2, 3, 4):
+            w = weights[:n]
+            x = variables(n)
+            g = (Fraction(-7, 3) + Fraction(5, 2) * x[0] * x[-1]
+                 - Fraction(1, 4) * x[1] ** 2)
+            for k in range(n + 1):
+                for degree in range(6):
+                    for at_most in (False, True):
+                        keys = monomial_keys(n, k, w, degree, at_most)
+                        forms = monomial_basis(n, k, w, degree, at_most)
+                        assert [kform_coordinates(f) for f in forms] == [
+                            {key: 1} for key in keys]
+                        for key, f in zip(keys, forms):
+                            assert d_column(*key) == kform_coordinates(
+                                exterior_derivative(f))
+                            assert product_column(g, *key) == kform_coordinates(
+                                g * f)
+
+
 class TestCombinationSolver:
     def test_exterior_derivative_witness(self):
         # x dy + y dx = d(x y)
@@ -264,6 +299,18 @@ class TestCombinationSolver:
         assert ws is not None
         assert exterior_derivative(ws[0].combination) == target
         assert ws[0].combination.as_polynomial() == x * y
+
+    def test_combination_sums_shared_monomials(self):
+        # basis forms sharing monomials: the combination adds their terms
+        x, y = variables(2)
+        dx = KForm.basis_form(2, (0,))
+        dy = KForm.basis_form(2, (1,))
+        basis = [x * dx + y * dy, x * dx - y * dy, x * dy]
+        groups = [operator_columns(basis, lambda b: b, 2, 1)]
+        target = 2 * x * dx + Fraction(1, 3) * x * dy
+        ws = CombinationSolver(groups).solve(target)
+        assert ws[0].coefficients == [1, 1, Fraction(1, 3)]
+        assert ws[0].combination == target
 
     def test_unsolvable_graded_piece(self):
         # x dy - y dx is not exact

@@ -140,6 +140,58 @@ class TestBuchberger:
                         assert not all(a <= b for a, b in zip(le, e))
 
 
+def _sympy_reduced_basis(gens, n):
+    """Monic reduced grevlex basis from sympy, as a set of term sets."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x0:{n}")
+    polys = [sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator) for e, c in g.terms.items()},
+        *xs) for g in gens]
+    out = set()
+    for g in sympy.groebner(polys, *xs, order="grevlex").exprs:
+        P = sympy.Poly(g, *xs)
+        lc = P.LC(order="grevlex")
+        terms = {e: v / lc for e, v in P.as_dict().items()}
+        out.add(frozenset((e, Fraction(int(v.p), int(v.q)))
+                          for e, v in terms.items()))
+    return out
+
+
+def _monic(gb):
+    out = set()
+    for g in gb:
+        _, c = gb.order.leading(g.terms)
+        out.add(frozenset((e, v / c) for e, v in g.terms.items()))
+    return out
+
+
+class TestSympyOracle:
+    # with unit weights fibera's order is graded reverse lex
+    def test_singular_ideals_of_ladder_maps(self):
+        from fibera import PolyMap
+        x, y, z = variables(3)
+        a, b, c, e = variables(4)
+        maps = [PolyMap([x ** 3 * y + y ** 3 * z + z ** 3 * x + x * y], (1, 1, 1)),
+                PolyMap([a * c + b * e, a ** 2 + b ** 2 - c ** 2 + e ** 2],
+                        (1, 1, 1, 1))]
+        for F, size in zip(maps, (6, 10)):
+            gens = F.top_components + F.jacobian_minors
+            assert len(F.singular_gb) == size
+            assert _monic(F.singular_gb) == _sympy_reduced_basis(gens, F.n)
+
+    def test_random_ideals(self):
+        rng = random.Random(35)
+        for trial in range(8):
+            n = rng.choice([2, 3])
+            gens = [make_random_poly(rng, n, (1,) * n, rng.randint(2, 3),
+                                     density=0.5) for _ in range(rng.randint(2, 3))]
+            gens = [g for g in gens if not g.is_zero()]
+            if not gens:
+                continue
+            gb = buchberger(gens, MonomialOrder((1,) * n))
+            assert _monic(gb) == _sympy_reduced_basis(gens, n)
+
+
 class TestNormalForm:
     def test_idempotent_and_linear(self):
         rng = random.Random(35)

@@ -378,8 +378,9 @@ class TestInfinityBasis:
             for g in gens:
                 cand = P * g
                 r = cand.weighted_degree(w)
-                same = [b for b, d in zip(B.forms, B.degrees) if d == r]
-                groups = [ColumnGroup(3, 1, same, list(same))]
+                same = [kform_coordinates(b)
+                        for b, d in zip(B.forms, B.degrees) if d == r]
+                groups = [ColumnGroup(3, 1, same, same)]
                 groups.extend(F.exactness_groups(1, r))
                 assert CombinationSolver(groups).solve(cand) is not None
 
@@ -550,7 +551,8 @@ class TestSolverAccessor:
         rng = random.Random(89)
         for r in (2, 3):
             same = [b for b, d in zip(B.forms, B.degrees) if d == r]
-            groups = [ColumnGroup(3, 1, same, list(same))]
+            coords = [kform_coordinates(b) for b in same]
+            groups = [ColumnGroup(3, 1, coords, coords)]
             hand = CombinationSolver(groups + F.exactness_groups(1, r))
             cached = F.solver(1, r, lead=same)
             space = monomial_basis(3, 1, (1, 1, 1), r)
