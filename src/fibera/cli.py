@@ -28,8 +28,8 @@ from .infinity import (PolyMap, PreconditionError, infinity_basis,
                        is_complete_intersection_at_infinity, milnor_number)
 from .fibre import (FibreClass, RelativeDecomposition, fibre_class,
                     is_in_subalgebra, relative_decompose, verify_decomposition)
-from .parse import (ParseError, form_str, parse_form_expr, parse_problem,
-                    poly_str)
+from .parse import (ParseError, form_str, form_to_polynomial, parse_form_expr,
+                    parse_point, parse_problem, poly_str)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -66,17 +66,7 @@ def _resolve_form(spec, problem):
 def _resolve_point(spec, problem):
     if spec in problem.points:
         return problem.points[spec]
-    coords = []
-    for piece in spec.split(","):
-        s = piece.strip()
-        try:
-            coords.append(Fraction(s))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad rational {s!r} in point")
-    if len(coords) != problem.q:
-        raise ParseError(f"point has {len(coords)} coordinates, "
-                         f"expected {problem.q}")
-    return tuple(coords)
+    return parse_point(spec, problem.q)
 
 
 def _t_names(q):
@@ -104,13 +94,16 @@ def form_to_json(f):
 
 
 def poly_to_json(P):
-    return [[list(e), [], str(c)] for e, c in sorted(P.terms.items())]
+    return form_to_json(KForm.from_polynomial(P))
 
 
 def form_from_json(data, n):
     by_s = {}
     k = 0
     for e, S, c in data:
+        if not all(type(a) is int and a >= 0 for a in [*e, *S]):
+            raise ValueError(f"exponents and indices must be nonnegative "
+                             f"integers, got {e!r} and {S!r}")
         S = tuple(S)
         k = len(S)
         by_s.setdefault(S, {})[tuple(e)] = Fraction(c)
@@ -118,7 +111,7 @@ def form_from_json(data, n):
 
 
 def poly_from_json(data, n):
-    return Polynomial(n, {tuple(e): Fraction(c) for e, S, c in data})
+    return form_from_json(data, n).as_polynomial()
 
 
 def _emit_json(obj):
@@ -257,10 +250,7 @@ def cmd_decompose(args):
 
 def cmd_subalgebra(args):
     problem = _load_problem(args.file)
-    form = _resolve_form(args.poly, problem)
-    if form.k != 0 and not form.is_zero():
-        raise ParseError("subalgebra queries need a polynomial, not a form")
-    P = form.as_polynomial() if not form.is_zero() else Polynomial.zero(problem.n)
+    P = form_to_polynomial(_resolve_form(args.poly, problem))
     F = _build_map(problem)
     A = is_in_subalgebra(P, F)
     if args.json:
@@ -302,6 +292,8 @@ def cmd_verify(args):
     if witness is None:
         raise ParseError("witness JSON has no witness "
                          "(re-run with --witness)")
+    if not isinstance(problem_text, str):
+        raise ParseError("witness JSON problem is not a string")
     if _input_hash(problem_text) != claimed_hash:
         return fail("input_hash mismatch")
     problem = parse_problem(problem_text)
@@ -322,7 +314,8 @@ def cmd_verify(args):
                 form_from_json(witness["omega"], n),
                 [form_from_json(e, n) for e in witness["eta"]])
         ok = verify_decomposition(omega, payload, F, B)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError,
+            OverflowError) as exc:
         raise ParseError(f"malformed witness payload: {exc}")
     if not ok:
         return fail("identity or degree bounds do not hold")

@@ -30,8 +30,8 @@ from fractions import Fraction
 from .polyform import KForm, Polynomial, exterior_derivative, wedge
 from .gradedlin import (CombinationSolver, ExactLinearSolver, monomial_basis,
                         operator_columns, pivot_columns_mod_p)
-from .infinity import (BASIS_PRIMES, PreconditionError,
-                       is_complete_intersection_at_infinity, singular_dimension)
+from .infinity import (BASIS_PRIMES, PreconditionError, _require_isolated,
+                       singular_dimension)
 
 __all__ = [
     "FibreClass", "RelativeDecomposition", "ExactnessResult",
@@ -78,13 +78,6 @@ class ExactnessResult:
     complete: bool
 
 
-def _require_cia_isolated(F):
-    if not is_complete_intersection_at_infinity(F):
-        raise PreconditionError("not a complete intersection at infinity")
-    if singular_dimension(F) > 0:
-        raise PreconditionError("non-isolated singularity at infinity")
-
-
 def closed_on_fibre(omega, F, y):
     """d(omega) ^ df_1 ^ ... ^ df_q = 0 modulo the fibre ideal over y."""
     gb = F.fibre_gb(y)
@@ -129,7 +122,7 @@ def exact_on_fibre(omega, F, y):
 
 def fibre_class(omega, F, y, B):
     """Decompose a closed (n-q)-form over the basis B on the fibre over y."""
-    _require_cia_isolated(F)
+    _require_isolated(F)
     k = F.n - F.q
     if not omega.is_zero() and omega.k != k:
         raise PreconditionError(f"fibre classes live in form degree {k}")
@@ -212,7 +205,7 @@ def relative_decompose(omega, F, B):
     d(Omega) = d(F^alpha Omega) - sum (d_i t^alpha)(F) df_i ^ Omega,
     sign * (d_i t^alpha)(F) Omega to eta_i.
     """
-    _require_cia_isolated(F)
+    _require_isolated(F)
     q, k = F.q, F.n - F.q
     if not omega.is_zero() and omega.k != k:
         raise PreconditionError(f"relative decomposition needs a {k}-form")

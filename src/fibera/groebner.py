@@ -158,11 +158,7 @@ def buchberger(gens, order):
         return GroebnerBasis([], order)
     n = order.n
 
-    def lead(t):
-        e = max(t, key=order.key)
-        return e, t[e]
-
-    data = [lead(t) + (t,) for t in basis]
+    data = [order.leading(t) + (t,) for t in basis]
     if any(not any(e) for e, _, _ in data):
         return GroebnerBasis([Polynomial.constant(n, 1)], order)
 
@@ -218,7 +214,7 @@ def buchberger(gens, order):
         h = _reduce(s, data, order)
         if not h:
             continue
-        he, hc = lead(h)
+        he, hc = order.leading(h)
         if not any(he):
             return GroebnerBasis([Polynomial.constant(n, 1)], order)
         new = len(basis)
@@ -243,7 +239,7 @@ def buchberger(gens, order):
     out = []
     for i in kept:
         t = final[i]
-        e, c = lead(t)
+        _, c = order.leading(t)
         out.append(Polynomial(n, {me: mc / c for me, mc in t.items()}))
     out.sort(key=lambda g: order.key(order.leading(g.terms)[0]))
     return GroebnerBasis(out, order)

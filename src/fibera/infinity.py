@@ -88,11 +88,13 @@ class PolyMap:
         self.top_components = [f.top_component(self.weights) for f in components]
         self.order = MonomialOrder(self.weights)
         self.infinity_gb = buchberger(self.top_components, self.order)
-        self.jacobian_minors = self._minors()
-        self.singular_gb = buchberger(self.top_components + self.jacobian_minors,
-                                      self.order)
         self.jac_form = _wedge_differentials(self.components)
         self.jac_form_top = _wedge_differentials(self.top_components)
+        # the maximal Jacobian minors of the fbar_i, zeros included
+        self.jacobian_minors = [self.jac_form_top.coeffs.get(S, Polynomial.zero(n))
+                                for S in combinations(range(n), q)]
+        self.singular_gb = buchberger(self.top_components + self.jacobian_minors,
+                                      self.order)
         self._cache = {}
 
     def _cached(self, key, make):
@@ -105,13 +107,6 @@ class PolyMap:
                 del self._cache[next(iter(self._cache))]
             self._cache[key] = hit
         return hit
-
-    def _minors(self):
-        rows = [[f.derivative(j) for j in range(self.n)] for f in self.top_components]
-        out = []
-        for cols in combinations(range(self.n), self.q):
-            out.append(_det([[rows[i][j] for j in cols] for i in range(self.q)]))
-        return out
 
     def point(self, values):
         """Coerce a value sequence to a fibre point (tuple of q Fractions)."""
@@ -181,17 +176,6 @@ class PolyMap:
         return self._cached(("graph_gb",), make)
 
 
-def _det(m):
-    if len(m) == 1:
-        return m[0][0]
-    out = Polynomial.zero(m[0][0].n)
-    for j in range(len(m)):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * _det(minor)
-        out = out - term if j & 1 else out + term
-    return out
-
-
 def _wedge_differentials(polys):
     out = exterior_derivative(polys[0])
     for f in polys[1:]:
@@ -225,13 +209,15 @@ def singular_dimension(F):
     return ideal_dimension(F.singular_gb)
 
 
+def _require_isolated(F):
+    """Raise unless dim V(I+J) <= 0.  As n > q, such a map is also CIA."""
+    if singular_dimension(F) > 0:
+        raise PreconditionError("non-isolated singularity at infinity")
+
+
 def milnor_number(F):
     """dim_Q Q[x]/(I+J) for an isolated singularity at infinity (0 if empty)."""
-    dim = singular_dimension(F)
-    if dim > 0:
-        raise PreconditionError("non-isolated singularity at infinity")
-    if dim < 0:
-        return 0
+    _require_isolated(F)
     return len(quotient_vector_basis(F.singular_gb))
 
 
@@ -275,8 +261,6 @@ def exact_at_infinity(omega, F):
     n, q, k = F.n, F.q, omega.k
     Omega = KForm.zero(n, max(k - 1, 0))
     etas = [KForm.zero(n, k) for _ in range(q)]
-    if omega.is_zero():
-        return Omega, etas
     for r, part in sorted(omega.homogeneous_components(F.weights).items()):
         ws = F.solver(k, r).solve(part)
         if ws is None:
@@ -323,9 +307,7 @@ def infinity_basis(F):
     prime fails a check, or divides a denominator, the next prime of
     BASIS_PRIMES is tried.
     """
-    dim = singular_dimension(F)
-    if dim > 0:
-        raise PreconditionError("non-isolated singularity at infinity")
+    _require_isolated(F)
     std = quotient_vector_basis(F.singular_gb)
     mu = len(std)
     kernel_gens = koszul_kernel_generators(F)

@@ -42,6 +42,11 @@ class ParseError(ValueError):
             super().__init__(message)
 
 
+def _is_digits(s):
+    """Nonempty and only 0-9 (str.isdigit accepts '²', which int rejects)."""
+    return s.isascii() and s.isdigit()
+
+
 def _tokenize(src, line=1, col=1):
     tokens = []
     i = 0
@@ -57,9 +62,9 @@ def _tokenize(src, line=1, col=1):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if _is_digits(ch):
             j = i
-            while j < length and src[j].isdigit():
+            while j < length and _is_digits(src[j]):
                 j += 1
             tokens.append(("num", int(src[i:j]), line, col))
             col += j - i
@@ -214,13 +219,20 @@ def parse_form_expr(text, var_names, line=1, col=1):
     return _ExprParser(tokens, var_map, len(var_names)).parse()
 
 
-def parse_polynomial_expr(text, var_names, line=1, col=1):
-    """Parse an expression that must be a polynomial (0-form)."""
-    form = parse_form_expr(text, var_names, line=line, col=col)
-    if form.k != 0 and not form.is_zero():
-        raise ParseError("expected a polynomial, got a form of positive degree",
+def form_to_polynomial(form, line=None, col=None):
+    """The polynomial a 0-form denotes; a zero form of any degree is 0."""
+    if form.is_zero():
+        return Polynomial.zero(form.n)
+    if form.k != 0:
+        raise ParseError("expected a polynomial, not a form of positive degree",
                          line, col)
     return form.as_polynomial()
+
+
+def parse_polynomial_expr(text, var_names, line=1, col=1):
+    """Parse an expression that must be a polynomial (0-form)."""
+    return form_to_polynomial(parse_form_expr(text, var_names, line=line, col=col),
+                              line, col)
 
 
 @dataclass
@@ -286,6 +298,22 @@ _IDENT_OK = lambda s: s and (s[0].isalpha() or s[0] == "_") \
     and all(c.isalnum() or c == "_" for c in s)
 
 
+def parse_point(text, q, line=None, col=None):
+    """Parse "r_1, ..., r_q" to a tuple of q rationals."""
+    coords = []
+    for piece, off in _split_top(text):
+        s = piece.strip()
+        try:
+            coords.append(Fraction(s))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad rational {s!r} in point", line,
+                             None if col is None else col + off)
+    if len(coords) != q:
+        raise ParseError(f"point has {len(coords)} coordinates, expected {q}",
+                         line, col)
+    return tuple(coords)
+
+
 def parse_problem(text):
     """Parse a full problem file to a ProblemFile."""
     statements = []
@@ -337,7 +365,7 @@ def parse_problem(text):
     for piece, off in _split_top(inner):
         s = piece.strip()
         pcol = icol + off + (len(piece) - len(piece.lstrip()))
-        if not s.isdigit() or int(s) < 1:
+        if not _is_digits(s) or int(s) < 1:
             raise ParseError(f"weights must be positive integers, got {s!r}",
                              lineno, pcol)
         weights.append(int(s))
@@ -377,18 +405,7 @@ def parse_problem(text):
             if not _IDENT_OK(name):
                 raise ParseError(f"bad point name {name!r}", lineno, col)
             body, bcol = _strip_quotes(value, col)
-            coords = []
-            for piece, off in _split_top(body):
-                s = piece.strip()
-                try:
-                    coords.append(Fraction(s))
-                except (ValueError, ZeroDivisionError):
-                    raise ParseError(f"bad rational {s!r}", lineno, bcol + off)
-            if len(coords) != q:
-                raise ParseError(
-                    f"point {name!r} has {len(coords)} coordinates, expected {q}",
-                    lineno, col)
-            points[name] = tuple(coords)
+            points[name] = parse_point(body, q, lineno, bcol)
         else:
             raise ParseError(f"unknown key {key_str!r}", lineno, col)
 
@@ -453,14 +470,8 @@ def form_str(omega, names, weights=None):
         dpart = "d[" + ",".join(names[i] for i in S) + "]"
         if len(P.terms) == 1:
             ((e, c),) = P.terms.items()
-            mono = _monomial_str(e, names)
-            if c == 1:
-                prefix = mono + "*" if mono else ""
-            elif c == -1:
-                prefix = "-" + (mono + "*" if mono else "")
-            else:
-                prefix = f"{c}*{mono}*" if mono else f"{c}*"
-            parts.append(prefix + dpart)
+            term = _term_str(e, c, names)
+            parts.append({"1": "", "-1": "-"}.get(term, term + "*") + dpart)
         else:
             parts.append(f"({poly_str(P, names, weights)})*{dpart}")
     return _join_terms(parts)

@@ -72,6 +72,15 @@ def quartic_file(tmp_path):
     return str(path)
 
 
+def _set_in(keys, value):
+    """A witness edit that sets obj[keys[0]]...[keys[-1]] = value."""
+    def edit(obj):
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = value
+    return edit
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -238,6 +247,46 @@ class TestGuardsAndErrors:
         assert out == ""
         assert err == "internal error: decomposition failed self-verification\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, edit, code, message", [
+        ("class", ["--form", "2\u00b2*d[x]", "--point", "1,0"],
+         EXIT_PARSE, "unexpected character '\u00b2'"),
+        ("check", ("weights = [1, 1, 1]", "weights = [1, \u00b2, 1]"),
+         EXIT_PARSE, "weights must be positive integers, got '\u00b2'"),
+        ("check", ('"x^2 + y^2 - z^2"', '"d[x] - d[x]"'),
+         EXIT_MATH, "error: component 2 is zero\n"),
+        ("verify", _set_in(["result", "a", 1, 0, 0], [-1, 0]),
+         EXIT_PARSE, "exponents and indices must be nonnegative integers"),
+        ("verify", _set_in(["result", "a", 1, 0, 1], [0]),
+         EXIT_PARSE, "malformed witness payload: not a 0-form"),
+        ("verify", _set_in(["witness", "omega"], [[[0.5, 0, 0], [], "1"]]),
+         EXIT_PARSE, "exponents and indices must be nonnegative integers"),
+        ("verify", _set_in(["result", "a", 1, 0, 2], float("inf")),
+         EXIT_PARSE, "malformed witness payload: cannot convert Infinity"),
+        ("verify", _set_in(["problem"], 5),
+         EXIT_PARSE, "witness JSON problem is not a string"),
+    ], ids=["superscript-in-form", "superscript-weight", "zero-form-component",
+            "negative-exponent-in-a", "index-list-in-a", "fractional-exponent",
+            "infinite-coefficient", "problem-not-a-string"])
+    def test_malformed_input_exits_cleanly(self, capsys, tmp_path, golden_file,
+                                           command, edit, code, message):
+        if command == "check":
+            path = tmp_path / "edited.fib"
+            path.write_text(GOLDEN_SOURCE.replace(*edit))
+            argv = [command, str(path)]
+        elif command == "verify":
+            # decomposes w1 = -b_2: a_2 = -1 is the witness's only a-term
+            assert main(["decompose", golden_file, "--form", "w1", "--json"]) == 0
+            obj = json.loads(capsys.readouterr().out)
+            edit(obj)
+            path = tmp_path / "edited.json"
+            path.write_text(json.dumps(obj))
+            argv = [command, str(path)]
+        else:
+            argv = [command, golden_file, *edit]
+        got, out, err = run(capsys, argv)
+        assert (got, out) == (code, "")
+        assert message in err
 
 
 class TestJsonOutput:

@@ -400,9 +400,9 @@ class TestRelativeDecompose:
     def test_one_precondition_check_per_call(self, monkeypatch, golden_map,
                                              golden_basis):
         calls = []
-        cia = fibre.is_complete_intersection_at_infinity
-        monkeypatch.setattr(fibre, "is_complete_intersection_at_infinity",
-                            lambda F: calls.append(F) or cia(F))
+        require = fibre._require_isolated
+        monkeypatch.setattr(fibre, "_require_isolated",
+                            lambda F: calls.append(F) or require(F))
         f = make_random_form(random.Random(70), 3, 1, golden_map.weights, 8)
         dec = relative_decompose(f, golden_map, golden_basis)
         assert verify_decomposition(f, dec, golden_map, golden_basis)

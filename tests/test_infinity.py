@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -105,6 +106,36 @@ class TestPolyMapConstruction:
         assert pt == (Fraction(1), Fraction(1, 2))
         with pytest.raises(ValueError):
             golden_map.point([1])
+
+    def test_jacobian_minors_match_sympy(self, golden_map):
+        sympy = pytest.importorskip("sympy")
+        a, b, c, e = variables(4)
+        x, y, z = variables(3)
+        maps = [
+            golden_map,
+            PolyMap([a * c + b * e, a ** 2 + b ** 2 - c ** 2 + e ** 2], (1,) * 4),
+            PolyMap([a ** 2 + b ** 2 + c ** 2 + e ** 2, a * b + c * e,
+                     a * c - b ** 2 + e], (1,) * 4),
+            # d(xy) ^ d(z^2) has no dx ^ dy term: the first minor is 0
+            PolyMap([x * y + 1, z ** 2 + x], (1, 1, 1)),
+            PolyMap([x ** 2 + y ** 3 + z ** 6], (3, 2, 1)),
+        ]
+        zero_minors = 0
+        for F in maps:
+            xs = sympy.symbols(f"x0:{F.n}")
+
+            def expr(P):
+                return sum(sympy.Rational(v.numerator, v.denominator)
+                           * sympy.prod([s ** k for s, k in zip(xs, m)])
+                           for m, v in P.terms.items())
+
+            J = sympy.Matrix([expr(f) for f in F.top_components]).jacobian(xs)
+            column_sets = list(combinations(range(F.n), F.q))
+            assert len(F.jacobian_minors) == len(column_sets)
+            for S, minor in zip(column_sets, F.jacobian_minors):
+                assert sympy.expand(J[:, list(S)].det() - expr(minor)) == 0
+                zero_minors += minor.is_zero()
+        assert zero_minors == 1
 
 
 class TestCompleteIntersectionCheck:
@@ -281,6 +312,10 @@ class TestClosedAndExactAtInfinity:
         # multiples of the top components are exact at infinity
         witness = exact_at_infinity((x * z) * dy, golden_map)
         assert witness is not None
+        # the zero 2-form: a zero 1-form Omega and zero 2-form etas
+        Omega, etas = exact_at_infinity(KForm.zero(3, 2), golden_map)
+        assert (Omega.k, [e.k for e in etas]) == (1, [2, 2])
+        assert Omega.is_zero() and not any(etas)
 
     def test_witness_reconstruction(self, golden_map):
         rng = random.Random(53)

@@ -90,13 +90,17 @@ class TestExpressions:
         assert "line 1, column 5" in str(exc.value)
 
     def test_malformed_expressions(self):
-        for bad in ("x +", "(x", "x ^ y", "d[", "d[x", "d[1]", "*x", "x])"):
+        for bad in ("x +", "(x", "x ^ y", "d[", "d[x", "d[1]", "*x", "x])",
+                    "2\u00b2*d[x]", "x^\u00b2"):
             with pytest.raises(ParseError):
                 parse_form_expr(bad, NAMES3)
 
     def test_polynomial_required(self):
         with pytest.raises(ParseError, match="expected a polynomial"):
             parse_polynomial_expr("d[x]", NAMES3)
+
+    def test_zero_form_is_the_zero_polynomial(self):
+        assert parse_polynomial_expr("d[x] - d[x]", NAMES3) == Polynomial.zero(3)
 
 
 class TestPrinting:
@@ -117,6 +121,8 @@ class TestPrinting:
         assert form_str(dx.wedge(dy), NAMES3) == "d[x,y]"
         assert form_str(-dx, NAMES3) == "-d[x]"
         assert form_str(KForm.from_polynomial(x * y), NAMES3) == "x*y"
+        assert form_str(2 * dx, NAMES3) == "2*d[x]"
+        assert form_str(Fraction(-3, 2) * (x * dy), NAMES3) == "-3/2*x*d[y]"
 
     def test_round_trip_polynomials(self):
         rng = random.Random(71)
@@ -188,6 +194,8 @@ class TestProblemFiles:
             parse_problem('vars=[x,y]\nweights=[1,-2]\nmap=["x"]')
         with pytest.raises(ParseError, match="weights"):
             parse_problem('vars=[x,y]\nweights=[1]\nmap=["x"]')
+        with pytest.raises(ParseError, match="positive integers"):
+            parse_problem('vars=[x,y]\nweights=[1,\u00b2]\nmap=["x"]')
 
     def test_too_many_components(self):
         with pytest.raises(ParseError, match="fewer components"):
@@ -200,6 +208,12 @@ class TestProblemFiles:
             parse_problem(
                 'vars=[x,y,z]\nweights=[1,1,1]\nmap=["x*z", "y^2"]\n'
                 'point.p = "1"')
+
+    def test_bad_rational_in_point(self):
+        with pytest.raises(ParseError) as exc:
+            parse_problem('vars=[x,y]\nweights=[1,1]\nmap=["x^2+y^2"]\n'
+                          'point.a = "1/0"')
+        assert str(exc.value) == "line 4, column 12: bad rational '1/0' in point"
 
     def test_unknown_key(self):
         with pytest.raises(ParseError, match="unknown key"):
