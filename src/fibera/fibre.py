@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyform import KForm, Polynomial, exterior_derivative, wedge
-from .gradedlin import (CombinationSolver, ExactLinearSolver, monomial_basis,
-                        operator_columns, pivot_columns_mod_p)
+from .gradedlin import (CombinationSolver, ExactLinearSolver, d_column,
+                        monomial_keys, pivot_columns_mod_p, wedge_column,
+                        wedge_group)
 from .infinity import (BASIS_PRIMES, PreconditionError, _require_isolated,
                        singular_dimension)
 
@@ -92,32 +93,20 @@ def bounded_ideal_membership(P, F, y):
     bounds when the map is a complete intersection at infinity, so None
     then certifies non-membership.
     """
-    q = F.q
-    if P.is_zero():
-        return [Polynomial.zero(F.n) for _ in range(q)]
-    r = P.weighted_degree(F.weights)
-    ws = F.solver(0, r, y).solve(KForm.from_polynomial(P))
-    if ws is None:
-        return None
-    return [ws[1 + i].combination.as_polynomial() for i in range(q)]
+    ws = F.solver(0, P.weighted_degree(F.weights), y).solve(
+        KForm.from_polynomial(P))
+    return None if ws is None else [g.combination.as_polynomial()
+                                    for g in ws[1:]]
 
 
 def exact_on_fibre(omega, F, y):
     """Search omega = d(Omega) + sum (f_i - y_i) eta_i with deg Omega <= deg
     omega and deg eta_i <= deg omega - deg f_i."""
     k = omega.k
-    complete = singular_dimension(F) <= F.n - F.q - k
-    q = F.q
-    if omega.is_zero():
-        witness = (KForm.zero(F.n, max(k - 1, 0)),
-                   [KForm.zero(F.n, k) for _ in range(q)])
-        return ExactnessResult(witness, complete)
-    r = omega.weighted_degree(F.weights)
-    ws = F.solver(k, r, y).solve(omega)
-    if ws is None:
-        return ExactnessResult(None, complete)
-    witness = (ws[0].combination, [ws[1 + i].combination for i in range(q)])
-    return ExactnessResult(witness, complete)
+    ws = F.solver(k, omega.weighted_degree(F.weights), y).solve(omega)
+    witness = None if ws is None else (ws[0].combination,
+                                       [g.combination for g in ws[1:]])
+    return ExactnessResult(witness, singular_dimension(F) <= F.n - F.q - k)
 
 
 def fibre_class(omega, F, y, B):
@@ -174,25 +163,16 @@ def relative_closed(omega, F):
 
 def relative_exact_homogeneous(omega, F):
     """Witness (Omega, [eta_i]) with omega = d(Omega) + sum eta_i ^ dfbar_i
-    inside one graded piece, or None."""
-    if omega.is_zero():
-        k = omega.k
-        return (KForm.zero(F.n, max(k - 1, 0)),
-                [KForm.zero(F.n, max(k - 1, 0)) for _ in range(F.q)])
-    if not omega.is_homogeneous(F.weights):
+    inside one graded piece, or None.  The solver is not cached."""
+    w, k = F.weights, omega.k
+    if not omega.is_homogeneous(w):
         raise ValueError("relative_exact_homogeneous needs a homogeneous form")
-    n, w, k = F.n, F.weights, omega.k
     r = omega.weighted_degree(w)
-    groups = [F.exactness_groups(k, r)[0]]
-    for i, ftop in enumerate(F.top_components):
-        df = exterior_derivative(ftop)
-        basis = monomial_basis(n, k - 1, w, r - F.degrees[i]) if k >= 1 else []
-        groups.append(operator_columns(basis, lambda b, df=df: wedge(b, df),
-                                       n, max(k - 1, 0)))
-    ws = CombinationSolver(groups).solve(omega)
-    if ws is None:
-        return None
-    return ws[0].combination, [ws[1 + i].combination for i in range(F.q)]
+    ws = CombinationSolver([F.exactness_groups(k, r)[0]] + [
+        wedge_group(exterior_derivative(f), k, r, w)
+        for f in F.top_components]).solve(omega)
+    return None if ws is None else (ws[0].combination,
+                                    [g.combination for g in ws[1:]])
 
 
 def relative_decompose(omega, F, B):
@@ -257,31 +237,32 @@ def is_in_subalgebra(R, F):
 
 def verify_decomposition(omega, result, F, B):
     """Check the shape, the identity omega = sum c_j b_j + d(Omega) + sum
-    (eta terms) and every degree bound of a FibreClass or a RelativeDecomposition."""
+    (eta terms) and every degree bound of a FibreClass or a RelativeDecomposition.
+    c_j = a_j(F) is bounded before it is composed, by deg a_j with t_i of weight
+    deg f_i: exact, as B exists only when the fbar_i form a regular sequence."""
     if isinstance(result, FibreClass):
-        coeffs = [Polynomial.constant(F.n, c) for c in result.coefficients]
+        polys = [Polynomial.constant(F.q, c) for c in result.coefficients]
         terms = [(f - y) * e for y, f, e in zip(result.point, F.components,
                                                 result.eta) if not e.is_zero()]
         npoint = len(result.point)
     elif isinstance(result, RelativeDecomposition):
-        coeffs = [a.compose(F.components) for a in result.coeff_polys]
+        polys = result.coeff_polys
         terms = [wedge(e, exterior_derivative(f))
                  for e, f in zip(result.eta, F.components) if not e.is_zero()]
         npoint = F.q
     else:
         raise TypeError(f"cannot verify {type(result).__name__}")
-    if (len(coeffs), len(result.eta), npoint) != (B.mu, F.q, F.q):
+    w = F.weights
+    r = omega.weighted_degree(w)
+    if (len(polys), len(result.eta), npoint) != (B.mu, F.q, F.q) or any(
+            a.weighted_degree(F.degrees) > r - bd for a, bd in zip(polys, B.degrees)):
         return False
     recon = exterior_derivative(result.omega)
-    for t in [c * b for c, b in zip(coeffs, B.forms) if c] + terms:
+    for t in [a.compose(F.components) * b for a, b in zip(polys, B.forms) if a] + terms:
         recon = recon + t
     if recon != omega:
         return False
-    w = F.weights
-    r = omega.weighted_degree(w)
-    bounds = [(result.omega, r)]
-    bounds += [(c, r - bd) for c, bd in zip(coeffs, B.degrees)]
-    bounds += [(e, r - d) for e, d in zip(result.eta, F.degrees)]
+    bounds = [(result.omega, r)] + [(e, r - d) for e, d in zip(result.eta, F.degrees)]
     return all(x.weighted_degree(w) <= bound for x, bound in bounds)
 
 
@@ -298,7 +279,7 @@ def verify_vanishing(F, k, y, degree_bound):
     exactness search is exhaustive.
 
     Both ranks are first taken modulo p = BASIS_PRIMES[0], which can only
-    lower them: for the N = len(basis) closedness columns C,
+    lower them: for the N closedness columns C, one per monomial k-form,
     dim K = N - rank C <= N - rank_p C and rank_p E <= dim E <= dim K, so
     rank_p C + rank_p E = N forces equality throughout, and a sum above N
     is an internal error.  Otherwise, or when p divides a denominator,
@@ -310,33 +291,38 @@ def verify_vanishing(F, k, y, degree_bound):
         raise PreconditionError(
             "vanishing check requires dim Sing < n - q - k")
     y = F.point(y)
-    w = F.weights
-    basis = monomial_basis(F.n, k, w, degree_bound, at_most=True)
-    gb = F.fibre_gb(y)
-    cols = []
-    for m in basis:
-        z = wedge(exterior_derivative(m), F.jac_form)
-        coords = {}
-        for S, P in z.coeffs.items():
-            nf = gb.normal_form(P)
-            for e, c in nf.terms.items():
-                coords[(S, e)] = c
-        cols.append(coords)
+    cols = _closedness_columns(F, k, y, degree_bound)
     rc = pivot_columns_mod_p(cols, BASIS_PRIMES[0])
     re = pivot_columns_mod_p([img for g in F.exactness_groups(k, degree_bound, y)
                               for img in g.images], BASIS_PRIMES[0])
-    if rc is not None and re is not None and len(rc) + len(re) >= len(basis):
-        closed, exact = len(basis) - len(rc), len(re)
+    if rc is not None and re is not None and len(rc) + len(re) >= len(cols):
+        closed, exact = len(cols) - len(rc), len(re)
     else:
-        closed = len(basis) - ExactLinearSolver(cols).rank
+        closed = len(cols) - ExactLinearSolver(cols).rank
         exact = F.solver(k, degree_bound, y).solver.rank
     if exact > closed:
         raise RuntimeError("internal: exact forms exceed the closed kernel")
     return {
         "form_degree": k,
         "degree_bound": degree_bound,
-        "space_dimension": len(basis),
+        "space_dimension": len(cols),
         "closed_dimension": closed,
         "exact_dimension": exact,
         "all_exact": exact == closed,
     }
+
+
+def _closedness_columns(F, k, y, bound):
+    """Per monomial k-form m of degree <= bound, in key order, the coordinates
+    of d(m) ^ df_1 ^ ... ^ df_q with coefficients in normal form over y."""
+    gb = F.fibre_gb(y)
+    cols = []
+    for m in monomial_keys(F.n, k, F.weights, bound, at_most=True):
+        z = {}
+        for (S, e), c in d_column(*m).items():
+            for (T, x), v in wedge_column(F.jac_form, S, e).items():
+                P = z.setdefault(T, {})
+                P[x] = P.get(x, 0) + c * v
+        cols.append({(T, x): v for T, P in z.items()
+                     for x, v in gb.normal_form(Polynomial(F.n, P)).terms.items()})
+    return cols

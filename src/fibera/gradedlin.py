@@ -3,8 +3,10 @@
 Questions like "is omega a combination d(Omega) + sum (f_i - y_i) eta_i
 with all parts in explicit finite-dimensional monomial spaces" reduce to
 rational linear systems.  This module enumerates the monomial spaces as
-keys (S, e) for x^e dx_S, assembles the columns from those keys as
-coordinate dicts {(S, e): coefficient}, and solves exactly.
+keys (S, e) for x^e dx_S, builds columns from them as coordinate dicts
+{(S, e): coefficient}, d(x^e dx_S) or x^e dx_S ^ G for a form G (blocks of
+the latter, for G = fbar_i, f_i - y_i or dfbar_i, by wedge_group), and
+solves exactly.
 
 The solver clears denominators column by column and runs fraction-free
 (Bareiss) elimination over the integers, keeping its row swaps and
@@ -34,8 +36,8 @@ from .polyform import KForm, Polynomial, _eadd, _merge_indices
 
 __all__ = [
     "weighted_exponents", "monomial_keys", "monomial_basis",
-    "kform_coordinates", "coordinates_kform", "d_column", "product_column",
-    "pivot_columns_mod_p", "ExactLinearSolver", "ColumnGroup",
+    "kform_coordinates", "coordinates_kform", "d_column", "wedge_column",
+    "pivot_columns_mod_p", "ExactLinearSolver", "ColumnGroup", "wedge_group",
     "operator_columns", "GroupWitness", "CombinationSolver",
 ]
 
@@ -108,9 +110,13 @@ def d_column(S, e):
     return out
 
 
-def product_column(g, S, e):
-    """Coordinates of g x^e dx_S for a polynomial g."""
-    return {(S, _eadd(e, m)): c for m, c in g.terms.items()}
+def wedge_column(G, S, e):
+    """Coordinates of x^e dx_S ^ G for a form G: a plain product where T = ()
+    (all of a 0-form).  Distinct T give distinct S + T, so no keys collide."""
+    return {(M, _eadd(e, m)): c if sign > 0 else -c
+            for T, P in G.coeffs.items()
+            for sign, M in [_merge_indices(S, T) if T else (1, S)] if sign
+            for m, c in P.terms.items()}
 
 
 def pivot_columns_mod_p(columns, p):
@@ -295,6 +301,16 @@ class ColumnGroup:
     def __post_init__(self):
         if len(self.basis) != len(self.images):
             raise ValueError("basis/images length mismatch")
+
+
+def wedge_group(G, k, r, weights, at_most=False):
+    """ColumnGroup of the k-forms x^e dx_S ^ G, one unknown per monomial
+    (k - G.k)-form x^e dx_S of weighted degree r - deg G (<= with at_most);
+    no unknowns when k < G.k."""
+    keys = monomial_keys(G.n, k - G.k, weights, r - G.weighted_degree(weights),
+                         at_most) if k >= G.k else []
+    return ColumnGroup(G.n, max(k - G.k, 0), [{m: 1} for m in keys],
+                       [wedge_column(G, *m) for m in keys])
 
 
 def operator_columns(basis, op, n, k):

@@ -31,7 +31,7 @@ from .groebner import (MonomialOrder, buchberger, elimination_order,
                        ideal_dimension, quotient_vector_basis)
 from .gradedlin import (ColumnGroup, CombinationSolver, d_column,
                         kform_coordinates, monomial_basis, monomial_keys,
-                        pivot_columns_mod_p, product_column)
+                        pivot_columns_mod_p, wedge_group)
 
 # monomial_basis is re-exported: perfbench/selftest.py checks that tracing
 # wraps a gradedlin name where infinity re-imports it.
@@ -141,11 +141,8 @@ class PolyMap:
         groups = [ColumnGroup(n, max(k - 1, 0), [{m: 1} for m in keys],
                               [d_column(*m) for m in keys])]
         gs = self._shifted(y) if bounded else self.top_components
-        for i, g in enumerate(gs):
-            keys = monomial_keys(n, k, w, r - self.degrees[i], bounded)
-            groups.append(ColumnGroup(n, k, [{m: 1} for m in keys],
-                                      [product_column(g, *m) for m in keys]))
-        return groups
+        return groups + [wedge_group(KForm.from_polynomial(g), k, r, w, bounded)
+                         for g in gs]
 
     def solver(self, k, r, y=None, lead=None):
         """Cached CombinationSolver over exactness_groups(k, r, y), preceded

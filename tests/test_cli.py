@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from fibera import KForm, parse_form_expr
+from fibera import KForm, Polynomial, parse_form_expr
 from fibera.cli import (EXIT_INTERNAL, EXIT_MATH, EXIT_OK, EXIT_PARSE,
                         form_from_json, form_to_json, main, poly_from_json,
                         poly_to_json)
@@ -423,6 +423,24 @@ class TestVerify:
         path, obj = self._emit(capsys, tmp_path, argv)
         edit(obj)
         path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, ["verify", str(path)])
+        assert code == EXIT_MATH
+        assert out == ("verification: FAIL "
+                       "(identity or degree bounds do not hold)\n")
+
+    def test_verify_rejects_excess_degree_before_composing(
+            self, capsys, tmp_path, golden_file, monkeypatch):
+        # a_1 = t_2^1000 breaks its degree bound; composing it with F first
+        # used to take time that grows fast with the exponent
+        path, obj = self._emit(capsys, tmp_path,
+                               ["decompose", golden_file, "--form", "w1",
+                                "--json"])
+        obj["result"]["a"][0] = [[[0, 1000], [], "1"]]
+        path.write_text(json.dumps(obj))
+
+        def refuse(*args):
+            raise AssertionError("composed a coefficient polynomial")
+        monkeypatch.setattr(Polynomial, "compose", refuse)
         code, out, _ = run(capsys, ["verify", str(path)])
         assert code == EXIT_MATH
         assert out == ("verification: FAIL "

@@ -182,9 +182,16 @@ class TestExactOnFibre:
             assert res.complete  # the bounded search is exhaustive here
 
     def test_zero_form(self, golden_map):
-        y = golden_map.point([1, 0])
-        res = exact_on_fibre(KForm.zero(3, 1), golden_map, y)
-        assert res.witness is not None
+        # the zero k-form has the zero witness: Omega a (k-1)-form (a 0-form
+        # when k = 0) and every eta a k-form
+        F = golden_map
+        y = F.point([1, 0])
+        for k in range(F.n + 1):
+            res = exact_on_fibre(KForm.zero(3, k), F, y)
+            Omega, etas = res.witness
+            assert (Omega.k, [e.k for e in etas]) == (max(k - 1, 0), [k, k])
+            assert Omega.is_zero() and not any(etas)
+            assert res.complete == (k <= 1)
 
 
 class TestFibreClass:
@@ -307,6 +314,15 @@ class TestRelativeOperations:
         for eta, ftop in zip(etas, F.top_components):
             recon = recon + wedge(eta, exterior_derivative(ftop))
         assert recon == df1
+
+    def test_relative_exact_zero_form(self, golden_map):
+        # the zero k-form has the zero witness, Omega and every eta (k-1)-forms
+        # (0-forms when k = 0)
+        for k in range(golden_map.n + 1):
+            Omega, etas = relative_exact_homogeneous(KForm.zero(3, k), golden_map)
+            kk = max(k - 1, 0)
+            assert (Omega.k, [e.k for e in etas]) == (kk, [kk, kk])
+            assert Omega.is_zero() and not any(etas)
 
     def test_relative_exact_requires_homogeneous(self, golden_map):
         x, _, _ = variables(3)
@@ -449,6 +465,21 @@ class TestVerifyDecomposition:
                                     dec.eta + [KForm.zero(3, 0)])
         assert not verify_decomposition(f, bad, F, B)
 
+    def test_excess_degree_rejected_before_composing(self, golden_map,
+                                                      golden_basis, monkeypatch):
+        F, B = golden_map, golden_basis
+        f = F.components[0] * B.forms[1]
+        dec = relative_decompose(f, F, B)
+        assert verify_decomposition(f, dec, F, B)
+        coeffs = list(dec.coeff_polys)
+        coeffs[0] = Polynomial.monomial(2, (0, 1000))
+        bad = RelativeDecomposition(coeffs, dec.omega, list(dec.eta))
+
+        def refuse(*args):
+            raise AssertionError("composed a coefficient polynomial")
+        monkeypatch.setattr(Polynomial, "compose", refuse)
+        assert verify_decomposition(f, bad, F, B) is False
+
     def test_rejects_unknown_payload(self, golden_map, golden_basis):
         with pytest.raises(TypeError):
             verify_decomposition(KForm.zero(3, 1), object(), golden_map,
@@ -527,6 +558,26 @@ class TestVerifyVanishing:
                                                          basis, cols)
             assert (report["closed_dimension"]
                     == report["space_dimension"] - oracles.dict_columns_rank(cols))
+
+    def test_closedness_columns_match_form_arithmetic(self, golden_map,
+                                                      sphere_map):
+        # columns built from keys equal the form-built reference above, in
+        # the same order; on C^4 with q = 2 the 1-forms have nonzero columns
+        a, b, c, e = variables(4)
+        quadric = PolyMap([a * c + b * e, a ** 2 + b ** 2 - c ** 2 + e ** 2],
+                          (1, 1, 1, 1))
+        cases = [(sphere_map, [0]), (sphere_map, [Fraction(7, 3)]),
+                 (golden_map, [0, 0]), (golden_map, [1, 2]),
+                 (quadric, [Fraction(-3, 2), 2])]
+        nonzero = 0
+        for F, y in cases:
+            y = F.point(y)
+            for k in range(F.n + 1):
+                for bound in range(5):
+                    _, cols = _closedness_columns(F, k, y, bound)
+                    assert fibre._closedness_columns(F, k, y, bound) == cols
+                    nonzero += sum(map(bool, cols))
+        assert nonzero > 600
 
     # the sphere at bound 4 has 60 monomial 1-forms, 45 of them closed;
     # the mod-p profile is switched off so that the stub is reached

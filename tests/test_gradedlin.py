@@ -16,10 +16,11 @@ from fibera import (
     exterior_derivative,
     kform_coordinates,
     monomial_basis,
+    wedge,
     weighted_exponents,
 )
 from fibera.gradedlin import (d_column, monomial_keys, operator_columns,
-                              pivot_columns_mod_p, product_column)
+                              pivot_columns_mod_p, wedge_column, wedge_group)
 from conftest import make_random_form, variables
 import oracles
 
@@ -265,13 +266,20 @@ class TestReplayAgainstOracle:
 class TestColumnBuilders:
     @pytest.mark.parametrize("weights", [(1, 1, 1, 1), (1, 2, 3, 1)])
     def test_columns_match_form_arithmetic(self, weights):
-        # d- and multiplication columns built from keys equal the coordinates
-        # of the same images computed with KForm arithmetic
+        # d- and wedge columns built from keys equal the coordinates of the
+        # same images computed with KForm arithmetic; the wedge factors G are
+        # a 0-form (a product), a 1-form and a 2-form, none of them
+        # homogeneous, and the 1- and 2-forms share indices with many S
         for n in (2, 3, 4):
             w = weights[:n]
             x = variables(n)
+            dx = [KForm.basis_form(n, (i,)) for i in range(n)]
             g = (Fraction(-7, 3) + Fraction(5, 2) * x[0] * x[-1]
                  - Fraction(1, 4) * x[1] ** 2)
+            g1 = g * dx[0] + x[1] ** 2 * dx[-1]
+            g2 = wedge(g1, dx[1]) + x[0] * wedge(dx[0], dx[-1])
+            factors = [KForm.from_polynomial(g), g1, g2]
+            assert [G.k for G in factors] == [0, 1, 2] and all(factors)
             for k in range(n + 1):
                 for degree in range(6):
                     for at_most in (False, True):
@@ -282,8 +290,24 @@ class TestColumnBuilders:
                         for key, f in zip(keys, forms):
                             assert d_column(*key) == kform_coordinates(
                                 exterior_derivative(f))
-                            assert product_column(g, *key) == kform_coordinates(
-                                g * f)
+                            for G in factors:
+                                assert wedge_column(G, *key) == kform_coordinates(
+                                    wedge(f, G))
+
+    def test_wedge_group_unknowns_and_images(self):
+        # unknowns are the (k - G.k)-forms of degree r - deg G, read off G
+        x, y, z = variables(3)
+        w = (1, 2, 3)
+        G = (x * y + z) * KForm.basis_form(3, (1,))      # degree 3 + 2 = 5
+        for k, r, at_most in [(1, 5, False), (2, 9, False), (2, 9, True)]:
+            group = wedge_group(G, k, r, w, at_most)
+            keys = monomial_keys(3, k - 1, w, r - 5, at_most)
+            assert keys and group.k == k - 1
+            assert group.basis == [{m: 1} for m in keys]
+            assert group.images == [wedge_column(G, *m) for m in keys]
+        for k, r in [(0, 5), (1, 4)]:
+            group = wedge_group(G, k, r, w)
+            assert (group.k, group.basis, group.images) == (0, [], [])
 
 
 class TestCombinationSolver:

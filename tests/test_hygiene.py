@@ -3,6 +3,7 @@ every name it defines at module level is used somewhere."""
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import fibera
@@ -96,3 +97,25 @@ def test_dead_name_scan_flags_an_unused_name(tmp_path):
                     "helper = None\n")
     assert _dead_names([mod], [mod, user]) == [("mod", "Alias"), ("mod", "Unused"),
                                                ("mod", "helper")]
+
+
+def test_traced_entry_points_resolve():
+    # perfbench/tracing.py wraps each (module, attribute path) of its
+    # ENTRY_POINTS, reading the last attribute from its owner's __dict__; a
+    # name that is gone breaks every traced benchmark run.  The file is
+    # parsed, not imported.
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    entry_points = [ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets]
+                    == ["ENTRY_POINTS"]]
+    assert len(entry_points) == 1 and len(entry_points[0]) > 20
+    missing = []
+    for module, path, _ in entry_points[0]:
+        owner = importlib.import_module(f"fibera.{module}")
+        *owner_path, attr = path.split(".")
+        for part in owner_path:
+            owner = getattr(owner, part, None)
+        if owner is None or not callable(vars(owner).get(attr)):
+            missing.append(f"{module}.{path}")
+    assert missing == []

@@ -435,6 +435,46 @@ class TestInfinityBasis:
         with pytest.raises(PreconditionError):
             infinity_basis(quartic_map)
 
+    def test_milnor_orlik_formula_in_plain_integers(self):
+        assert _milnor_orlik_degrees((3, 2), 6) == [5, 7]
+        assert _milnor_orlik_degrees((2, 2, 3), 6) == [7, 9, 9, 11]
+
+    @pytest.mark.parametrize("weights, degree, make", [
+        ((3, 2), 6, lambda x, y: x ** 2 + y ** 3),
+        ((2, 2, 3), 6, lambda x, y, z: x ** 3 + y ** 3 + z ** 2),
+        ((1, 1, 1), 4, lambda x, y, z: x ** 3 * y + y ** 3 * z + z ** 3 * x + x * y),
+        ((1, 2, 3), 6, lambda x, y, z: x ** 6 + y ** 3 + z ** 2 + x * y),
+        ((1, 1), 4, lambda x, y: x ** 4 + y ** 4 + x ** 2 * y - x),
+    ], ids=["cusp", "x3+y3+z2", "quartic-c3", "x6+y3+z2+xy", "x4+y4+x2y-x"])
+    def test_q1_degrees_match_milnor_orlik(self, weights, degree, make):
+        # for q = 1, I+J is the Jacobian ideal of fbar, a complete
+        # intersection, so the basis degrees have a closed form
+        f = make(*variables(len(weights)))
+        B = infinity_basis(PolyMap([f], weights))
+        assert B.degrees == _milnor_orlik_degrees(weights, degree)
+
+
+def _milnor_orlik_degrees(weights, d):
+    """Degrees, with multiplicity, of t^(sum w_i) * prod (1 - t^(d - w_i)) /
+    (1 - t^(w_i)) (Milnor and Orlik, 1970), on integer coefficient lists and
+    sorted: the basis degrees at infinity of an isolated q = 1 map of
+    weighted degree d."""
+    poly = [1]
+    for w in weights:
+        num = poly + [0] * (d - w)
+        for j, c in enumerate(poly):
+            num[j + d - w] -= c
+        quot = []  # num / (1 - t^w), term by term
+        for j in range(len(num) - w):
+            quot.append(num[j] + (quot[j - w] if j >= w else 0))
+        back = quot + [0] * w
+        for j, c in enumerate(quot):
+            back[j + w] -= c
+        assert back == num, "the quotient is not a polynomial"
+        poly = quot
+    assert min(poly) >= 0
+    return [sum(weights) + j for j, c in enumerate(poly) for _ in range(c)]
+
 
 def _fermat_c4():
     a, b, c, e = variables(4)
