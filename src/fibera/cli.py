@@ -18,8 +18,6 @@ negative CIA verdict from check), 2 parse or input error, 3 internal error
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 from fractions import Fraction
 
@@ -37,7 +35,11 @@ EXIT_PARSE = 2
 EXIT_INTERNAL = 3
 
 
+# hashlib and json are imported where they are used: every command is its
+# own process, and only the --json and verify paths need them.
+
 def _input_hash(text):
+    import hashlib
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -115,6 +117,7 @@ def poly_from_json(data, n):
 
 
 def _emit_json(obj):
+    import json
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
@@ -269,6 +272,7 @@ def cmd_subalgebra(args):
 
 
 def cmd_verify(args):
+    import json
     raw = _read(args.file)
     try:
         data = json.loads(raw)

@@ -24,7 +24,7 @@ f_i, so it terminates and every witness obeys the degree bounds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .polyform import KForm, Polynomial, exterior_derivative, wedge
@@ -43,30 +43,23 @@ __all__ = [
 ]
 
 
-@dataclass
-class FibreClass:
+class FibreClass(namedtuple("FibreClass", "point coefficients omega eta")):
     """Coordinates of a closed form in the cohomology of the fibre over `point`,
     with the exactness witness: omega = sum c_i b_i + d(omega_part) +
     sum (f_i - y_i) eta_i."""
 
-    point: tuple
-    coefficients: list
-    omega: KForm
-    eta: list
+    __slots__ = ()
 
 
-@dataclass
-class RelativeDecomposition:
+class RelativeDecomposition(namedtuple("RelativeDecomposition",
+                                       "coeff_polys omega eta")):
     """omega = sum a_i(F) b_i + d(omega_part) + sum eta_j ^ df_j, with the
     coefficient polynomials a_i in q variables."""
 
-    coeff_polys: list
-    omega: KForm
-    eta: list
+    __slots__ = ()
 
 
-@dataclass
-class ExactnessResult:
+class ExactnessResult(namedtuple("ExactnessResult", "witness complete")):
     """Outcome of an exactness search.
 
     witness is (Omega, [eta_1..eta_q]) when found, else None.  complete
@@ -75,8 +68,7 @@ class ExactnessResult:
     disprove exactness.
     """
 
-    witness: tuple | None
-    complete: bool
+    __slots__ = ()
 
 
 def closed_on_fibre(omega, F, y):

@@ -26,7 +26,7 @@ closed and exact ranks that sum to the space dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -73,8 +73,14 @@ def monomial_keys(n, k, weights, degree, at_most=False):
     Index tuples S run lexicographically; exponents lexicographically
     inside each S.  The empty list for negative degrees.
     """
-    return [(S, e) for S in combinations(range(n), k) for e in weighted_exponents(
-        n, weights, degree - sum(weights[i] for i in S), at_most)]
+    exponents = {}  # index sets of equal weight share one exponent list
+    out = []
+    for S in combinations(range(n), k):
+        rest = degree - sum(weights[i] for i in S)
+        if rest not in exponents:
+            exponents[rest] = weighted_exponents(n, weights, rest, at_most)
+        out += [(S, e) for e in exponents[rest]]
+    return out
 
 
 def monomial_basis(n, k, weights, degree, at_most=False):
@@ -289,18 +295,16 @@ class ExactLinearSolver:
         return out
 
 
-@dataclass
-class ColumnGroup:
-    """A block of unknowns: coordinates of basis forms and of their images."""
+class ColumnGroup(namedtuple("ColumnGroup", "n k basis images")):
+    """A block of unknowns: coordinates of basis forms and of their images;
+    k is the form degree of the unknown space."""
 
-    n: int
-    k: int  # form degree of the unknown space
-    basis: list
-    images: list
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.basis) != len(self.images):
+    def __new__(cls, n, k, basis, images):
+        if len(basis) != len(images):
             raise ValueError("basis/images length mismatch")
+        return super().__new__(cls, n, k, basis, images)
 
 
 def wedge_group(G, k, r, weights, at_most=False):
@@ -319,12 +323,10 @@ def operator_columns(basis, op, n, k):
                        [kform_coordinates(op(b)) for b in basis])
 
 
-@dataclass
-class GroupWitness:
+class GroupWitness(namedtuple("GroupWitness", "coefficients combination")):
     """Solution slice for one column group: coefficients and the combination."""
 
-    coefficients: list
-    combination: KForm
+    __slots__ = ()
 
 
 class CombinationSolver:

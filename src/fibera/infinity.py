@@ -21,7 +21,7 @@ because the exact subspace is graded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -180,14 +180,12 @@ def _wedge_differentials(polys):
     return out
 
 
-@dataclass
-class CompleteIntersectionCheck:
+class CompleteIntersectionCheck(namedtuple(
+        "CompleteIntersectionCheck",
+        "is_cia dim_fibre dim_singular codim_required")):
     """CIA verdict with the dimensions behind it."""
 
-    is_cia: bool
-    dim_fibre: int
-    dim_singular: int
-    codim_required: int
+    __slots__ = ()
 
     def __bool__(self):
         return self.is_cia

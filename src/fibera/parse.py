@@ -19,7 +19,7 @@ object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .polyform import KForm, Polynomial
@@ -235,14 +235,9 @@ def parse_polynomial_expr(text, var_names, line=1, col=1):
                               line, col)
 
 
-@dataclass
-class ProblemFile:
-    source: str
-    var_names: list
-    weights: tuple
-    map_components: list
-    forms: dict
-    points: dict
+class ProblemFile(namedtuple("ProblemFile", "source var_names weights "
+                             "map_components forms points")):
+    __slots__ = ()
 
     @property
     def n(self):

@@ -19,6 +19,7 @@ All coefficient arithmetic is exact rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 NEG_INF = float("-inf")
 
@@ -35,7 +36,7 @@ def validate_weights(weights, n=None):
 
 
 def _eadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _wdeg(e, w):

@@ -533,3 +533,15 @@ class TestModuleEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 1
         assert "not a complete intersection at infinity" in proc.stdout
+
+    def test_import_loads_no_unneeded_stdlib_modules(self):
+        # every command is its own process, so what `import fibera.cli`
+        # loads is paid on each one; only modules loaded by the import
+        # itself count, not those a site hook loaded before it
+        probe = ("import sys; before = set(sys.modules); import fibera.cli; "
+                 "print(' '.join(sorted(set(sys.modules) - before)))")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, check=True)
+        loaded = set(proc.stdout.split())
+        assert "fibera.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "hashlib", "json"}

@@ -284,6 +284,16 @@ class TestColumnBuilders:
                 for degree in range(6):
                     for at_most in (False, True):
                         keys = monomial_keys(n, k, w, degree, at_most)
+                        # independent of weighted_exponents: every
+                        # exponent up to degree, filtered, then sorted
+                        assert keys == sorted(
+                            (S, e)
+                            for S in itertools.combinations(range(n), k)
+                            for e in itertools.product(range(degree + 1),
+                                                       repeat=n)
+                            for wdeg in [sum(a * p for a, p in zip(e, w))
+                                         + sum(w[i] for i in S)]
+                            if wdeg == degree or (at_most and wdeg < degree))
                         forms = monomial_basis(n, k, w, degree, at_most)
                         assert [kform_coordinates(f) for f in forms] == [
                             {key: 1} for key in keys]
