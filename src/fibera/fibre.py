@@ -28,11 +28,10 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .polyform import KForm, Polynomial, exterior_derivative, wedge
-from .gradedlin import (CombinationSolver, ExactLinearSolver, d_column,
-                        monomial_keys, pivot_columns_mod_p, wedge_column,
-                        wedge_group)
-from .infinity import (BASIS_PRIMES, PreconditionError, _require_isolated,
-                       singular_dimension)
+from .gradedlin import (_PRIME, CombinationSolver, ExactLinearSolver,
+                        d_column, monomial_keys, pivot_columns_mod_p,
+                        wedge_column, wedge_group)
+from .infinity import PreconditionError, _require_isolated, singular_dimension
 
 __all__ = [
     "FibreClass", "RelativeDecomposition", "ExactnessResult",
@@ -270,12 +269,11 @@ def verify_vanishing(F, k, y, degree_bound):
     exact_dimension is dim E.  Requires dim Sing < n - q - k so the bounded
     exactness search is exhaustive.
 
-    Both ranks are first taken modulo p = BASIS_PRIMES[0], which can only
-    lower them: for the N closedness columns C, one per monomial k-form,
-    dim K = N - rank C <= N - rank_p C and rank_p E <= dim E <= dim K, so
-    rank_p C + rank_p E = N forces equality throughout, and a sum above N
-    is an internal error.  Otherwise, or when p divides a denominator,
-    two exact eliminations decide.
+    Both ranks are first taken modulo a prime p, which can only lower
+    them: for the N closedness columns C, one per monomial k-form, dim K =
+    N - rank C <= N - rank_p C and rank_p E <= dim E <= dim K, so rank_p C
+    + rank_p E = N forces equality throughout, and a sum above N is an
+    internal error.  Otherwise two exact eliminations decide.
     """
     if k < 1:
         raise ValueError("verify_vanishing needs form degree k >= 1")
@@ -284,14 +282,12 @@ def verify_vanishing(F, k, y, degree_bound):
             "vanishing check requires dim Sing < n - q - k")
     y = F.point(y)
     cols = _closedness_columns(F, k, y, degree_bound)
-    rc = pivot_columns_mod_p(cols, BASIS_PRIMES[0])
-    re = pivot_columns_mod_p([img for g in F.exactness_groups(k, degree_bound, y)
-                              for img in g.images], BASIS_PRIMES[0])
-    if rc is not None and re is not None and len(rc) + len(re) >= len(cols):
-        closed, exact = len(cols) - len(rc), len(re)
-    else:
-        closed = len(cols) - ExactLinearSolver(cols).rank
-        exact = F.solver(k, degree_bound, y).solver.rank
+    exact_cols = [img for g in F.exactness_groups(k, degree_bound, y)
+                  for img in g.images]
+    rc, exact = (len(pivot_columns_mod_p(c, _PRIME)) for c in (cols, exact_cols))
+    if rc + exact < len(cols):
+        rc, exact = (ExactLinearSolver(c).rank for c in (cols, exact_cols))
+    closed = len(cols) - rc
     if exact > closed:
         raise RuntimeError("internal: exact forms exceed the closed kernel")
     return {

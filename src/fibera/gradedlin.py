@@ -8,20 +8,23 @@ keys (S, e) for x^e dx_S, builds columns from them as coordinate dicts
 the latter, for G = fbar_i, f_i - y_i or dfbar_i, by wedge_group), and
 solves exactly.
 
-The solver clears denominators column by column and runs fraction-free
-(Bareiss) elimination over the integers, keeping its row swaps and
-multipliers.  The factorization is reused across targets, so deciding
-many membership questions against one column family costs one
-elimination.  Witnesses are deterministic: first usable pivot in
-enumeration order, free variables set to zero.
+Both eliminations first clear each column to integers, scaling it by the
+lcm of its denominators.  The solver then runs fraction-free (Bareiss)
+elimination over the integers, keeping its row swaps and multipliers.
+The factorization is reused across targets, so deciding many membership
+questions against one column family costs one elimination.  Witnesses
+are deterministic: first usable pivot in enumeration order, free
+variables set to zero.
 
 Where only a rank profile is needed, pivot_columns_mod_p reduces the
-columns modulo a prime with sparse pivot dicts instead: no exact
-elimination, and no witness.  Its pivot columns are independent over Q
-as well (they have a minor that is nonzero mod p), but a rank mod p can
-fall below the rank over Q, so a caller certifies the result:
-infinity_basis by full-rank pieces and mu kept forms, verify_vanishing by
-closed and exact ranks that sum to the space dimension.
+same integer columns modulo one fixed prime p with sparse pivot dicts
+instead: no exact elimination, and no witness.  Its pivot columns are
+independent over Q as well (they have a minor that is nonzero mod p), but
+a rank mod p can fall below the rank over Q, so a caller certifies the
+result: infinity_basis by full-rank pieces and mu kept forms,
+verify_vanishing by closed and exact ranks that sum to the space
+dimension.  When the certificate fails, the caller takes the exact
+profile instead: the solver's pivots and rank.
 """
 
 from __future__ import annotations
@@ -125,10 +128,24 @@ def wedge_column(G, S, e):
             for m, c in P.terms.items()}
 
 
+def _scale(col):
+    """The lcm s of a column's denominators, 1 for an empty column.  Both
+    eliminations clear the column to integers by it: an entry v becomes
+    v.numerator * (s // v.denominator)."""
+    s = 1
+    for v in col.values():
+        if v.denominator != 1:
+            s = lcm(s, v.denominator)
+    return s
+
+
+# The prime of every rank profile.
+_PRIME = 2**61 - 1
+
+
 def pivot_columns_mod_p(columns, p):
     """Indices of the columns independent of the columns before them
-    modulo the prime p, or None when an entry's denominator is divisible
-    by p.
+    modulo the prime p, after each column is cleared to integers.
 
     Columns are sparse dicts of rationals over comparable row keys.  A
     pivot is stored under its pivot row, the smallest key of the reduced
@@ -140,11 +157,10 @@ def pivot_columns_mod_p(columns, p):
     pivots = {}
     out = []
     for j, col in enumerate(columns):
+        s = _scale(col)
         v = {}
         for key, c in col.items():
-            if c.denominator % p == 0:
-                return None
-            c = c.numerator * pow(c.denominator, -1, p) % p
+            c = c.numerator * (s // c.denominator) % p
             if c:
                 v[key] = c
         todo = [key for key in v if key in pivots]
@@ -176,31 +192,24 @@ class ExactLinearSolver:
 
     Columns are sparse dicts over hashable row keys.  Row space is the
     union of the column supports; a target with a nonzero coordinate
-    outside it is immediately unsolvable.
+    outside it is immediately unsolvable.  pivots lists the columns
+    independent of the columns before them; the i-th pivots in row i.
     """
 
-    __slots__ = ("row_index", "nrows", "ncols", "col_scale", "_mat", "_perm",
-                 "_pivots")
+    __slots__ = ("row_index", "nrows", "ncols", "col_scale", "pivots", "_mat",
+                 "_perm")
 
     def __init__(self, columns):
         columns = list(columns)
-        keys = set()
-        for col in columns:
-            keys.update(col.keys())
-        self.row_index = {kk: i for i, kk in enumerate(sorted(keys))}
+        keys = sorted(set().union(*columns))
+        self.row_index = {kk: i for i, kk in enumerate(keys)}
         self.nrows = len(self.row_index)
         self.ncols = len(columns)
+        self.col_scale = [_scale(col) for col in columns]
         mat = [[0] * self.ncols for _ in range(self.nrows)]
-        scale = []
-        for j, col in enumerate(columns):
-            s = 1
-            for v in col.values():
-                s = lcm(s, Fraction(v).denominator)
-            scale.append(s)
+        for j, (col, s) in enumerate(zip(columns, self.col_scale)):
             for kk, v in col.items():
-                num = Fraction(v) * s
-                mat[self.row_index[kk]][j] = int(num)
-        self.col_scale = scale
+                mat[self.row_index[kk]][j] = v.numerator * (s // v.denominator)
         self._eliminate(mat)
 
     def _eliminate(self, mat):
@@ -209,13 +218,10 @@ class ExactLinearSolver:
         perm = list(range(self.nrows))
         pivots = []
         prev = 1
-        rank = 0
         for col in range(self.ncols):
-            piv_row = None
-            for r in range(rank, self.nrows):
-                if mat[r][col]:
-                    piv_row = r
-                    break
+            rank = len(pivots)
+            piv_row = next((r for r in range(rank, self.nrows) if mat[r][col]),
+                           None)
             if piv_row is None:
                 continue
             if piv_row != rank:
@@ -230,22 +236,21 @@ class ExactLinearSolver:
                 # fraction-free update; the division by the previous pivot is exact
                 row[col + 1:] = [(piv * a - v * b) // prev
                                  for a, b in zip(row[col + 1:], tail)]
-            pivots.append((rank, col))
+            pivots.append(col)
             prev = piv
-            rank += 1
         self._perm = perm
-        self._pivots = pivots
+        self.pivots = pivots
         self._mat = mat
 
     @property
     def rank(self):
-        return len(self._pivots)
+        return len(self.pivots)
 
     def _apply_ops(self, b):
         mat = self._mat
         b = [b[i] for i in self._perm]
         prev = 1
-        for prow, pcol in self._pivots:
+        for prow, pcol in enumerate(self.pivots):
             piv = mat[prow][pcol]
             bp = b[prow]
             for r in range(prow + 1, self.nrows):
@@ -254,7 +259,7 @@ class ExactLinearSolver:
         return b
 
     def _back_substitute(self, b, x):
-        for prow, pcol in reversed(self._pivots):
+        for prow, pcol in reversed(list(enumerate(self.pivots))):
             row = self._mat[prow]
             s = b[prow]
             for c in range(pcol + 1, self.ncols):
@@ -282,12 +287,9 @@ class ExactLinearSolver:
 
     def nullspace(self):
         """Deterministic kernel basis, one vector per free column."""
-        piv_cols = {c for _, c in self._pivots}
         zero = [Fraction(0)] * self.nrows
         out = []
-        for fc in range(self.ncols):
-            if fc in piv_cols:
-                continue
+        for fc in sorted(set(range(self.ncols)) - set(self.pivots)):
             x = [Fraction(0)] * self.ncols
             x[fc] = Fraction(1)
             self._back_substitute(list(zero), x)

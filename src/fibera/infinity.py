@@ -29,14 +29,15 @@ from .polyform import (KForm, Polynomial, euler_contraction,
                        exterior_derivative, validate_weights, wedge)
 from .groebner import (MonomialOrder, buchberger, elimination_order,
                        ideal_dimension, quotient_vector_basis)
-from .gradedlin import (ColumnGroup, CombinationSolver, d_column,
-                        kform_coordinates, monomial_basis, monomial_keys,
-                        pivot_columns_mod_p, wedge_group)
+from .gradedlin import (_PRIME, ColumnGroup, CombinationSolver,
+                        ExactLinearSolver, d_column, kform_coordinates,
+                        monomial_basis, monomial_keys, pivot_columns_mod_p,
+                        wedge_group)
 
 # monomial_basis is re-exported: perfbench/selftest.py checks that tracing
 # wraps a gradedlin name where infinity re-imports it.
 __all__ = [
-    "CACHE_LIMIT", "BASIS_PRIMES", "PreconditionError", "PolyMap",
+    "CACHE_LIMIT", "PreconditionError", "PolyMap",
     "CompleteIntersectionCheck", "is_complete_intersection_at_infinity",
     "singular_dimension", "milnor_number", "koszul_kernel_generators",
     "euler_normalize", "closed_at_infinity", "exact_at_infinity",
@@ -45,9 +46,6 @@ __all__ = [
 
 # Entries a PolyMap keeps in its cache before it drops the oldest.
 CACHE_LIMIT = 256
-
-# Primes for infinity_basis's rank profile, in the order they are tried.
-BASIS_PRIMES = (2**61 - 1, 2**31 - 1)
 
 
 class PreconditionError(ValueError):
@@ -299,8 +297,8 @@ def infinity_basis(F):
     is 0 outside the candidate degrees), and its dimension is mu, the
     paper's dim H^(n-q)(F^-1(infinity)) = mu.  Then sum h_r = mu forces
     |kept_r| = h_r in every degree, so the kept forms are a basis.  When a
-    prime fails a check, or divides a denominator, the next prime of
-    BASIS_PRIMES is tried.
+    check fails, the exact pivot columns pick the candidates instead: they
+    are the greedy basis by definition.
     """
     _require_isolated(F)
     std = quotient_vector_basis(F.singular_gb)
@@ -312,24 +310,26 @@ def infinity_basis(F):
         for g in kernel_gens:
             c = P * g
             by_degree.setdefault(c.weighted_degree(F.weights), []).append(c)
-    for p in BASIS_PRIMES:
-        kept = _kept_mod_p(F, by_degree, p)
-        if kept is not None and len(kept) == mu:
-            return InfinityBasis([c for _, c in kept], [r for r, _ in kept], mu)
-    raise RuntimeError("internal: no prime certified the basis at infinity")
+    kept = _kept(F, by_degree, lambda cols: pivot_columns_mod_p(cols, _PRIME))
+    if kept is None or len(kept) != mu:
+        kept = _kept(F, by_degree, lambda cols: ExactLinearSolver(cols).pivots)
+        if kept is None or len(kept) != mu:
+            raise RuntimeError("internal: exact basis size differs from mu")
+    return InfinityBasis([c for _, c in kept], [r for r, _ in kept], mu)
 
 
-def _kept_mod_p(F, by_degree, p):
-    """(degree, candidate) pairs kept modulo p, or None when p divides a
-    denominator or some degree's pivots miss part of its k-form piece."""
+def _kept(F, by_degree, profile):
+    """(degree, candidate) pairs among profile(columns), the pivot columns
+    of each degree's exactness columns followed by its candidates, or None
+    when some degree's pivots miss part of its k-form piece."""
     k = F.n - F.q
     kept = []
     for r, cands in sorted(by_degree.items()):
         cols = [img for g in F.exactness_groups(k, r) for img in g.images]
         m = len(cols)
         cols.extend(kform_coordinates(c) for c in cands)
-        pivots = pivot_columns_mod_p(cols, p)
-        if pivots is None or len(pivots) != len(monomial_keys(F.n, k, F.weights, r)):
+        pivots = profile(cols)
+        if len(pivots) != len(monomial_keys(F.n, k, F.weights, r)):
             return None
         kept.extend((r, cands[j - m]) for j in pivots if j >= m)
     return kept

@@ -519,6 +519,35 @@ class TestVerify:
         assert "cannot verify a 'milnor' result" in err
 
 
+class TestScaledGoldenMap:
+    """The golden map with x*z scaled by N = (2^61 - 1)(2^31 - 1) or by 1/N
+    answers every command as the golden map does, whether or not the
+    modular rank profile certifies."""
+
+    @pytest.fixture(params=["4951760154835678088235319297*x*z",
+                            "1/4951760154835678088235319297*x*z"],
+                    ids=["N", "1/N"])
+    def scaled_file(self, request, tmp_path):
+        path = tmp_path / "scaled.fib"
+        path.write_text(GOLDEN_SOURCE.replace('"x*z"', f'"{request.param}"'))
+        return str(path)
+
+    def test_basis_is_the_golden_one(self, capsys, scaled_file):
+        assert run(capsys, ["basis", scaled_file]) == (EXIT_OK, BASIS_TEXT, "")
+
+    def test_class_decompose_and_verify(self, capsys, tmp_path, scaled_file):
+        code, _, err = run(capsys, ["class", scaled_file, "--form", "w1",
+                                    "--point", "1,0"])
+        assert (code, err) == (EXIT_OK, "")
+        code, out, err = run(capsys, ["decompose", scaled_file, "--form", "w1",
+                                      "--json"])
+        assert (code, err) == (EXIT_OK, "")
+        path = tmp_path / "witness.json"
+        path.write_text(out)
+        assert run(capsys, ["verify", str(path)]) == (
+            EXIT_OK, "verification: PASS\n", "")
+
+
 class TestModuleEntryPoint:
     def test_runs_as_module(self, golden_file):
         proc = subprocess.run(

@@ -29,7 +29,7 @@ from fibera import (
     verify_vanishing,
     wedge,
 )
-from fibera import fibre, infinity
+from fibera import fibre, gradedlin, infinity
 from fibera.gradedlin import (ExactLinearSolver, coordinates_kform,
                               monomial_basis)
 from conftest import make_random_form, make_random_poly, variables
@@ -580,12 +580,15 @@ class TestVerifyVanishing:
         assert nonzero > 600
 
     # the sphere at bound 4 has 60 monomial 1-forms, 45 of them closed;
-    # the mod-p profile is switched off so that the stub is reached
+    # an empty mod-p profile sends both ranks to exact elimination, and the
+    # second one, of the exactness columns, is the stub's
     def _sphere_with_exact_rank(self, sphere_map, monkeypatch, rank):
         F = PolyMap(sphere_map.components, sphere_map.weights)
-        stub = SimpleNamespace(solver=SimpleNamespace(rank=rank))
-        monkeypatch.setattr(F, "solver", lambda *args, **kw: stub)
-        monkeypatch.setattr(fibre, "pivot_columns_mod_p", lambda cols, p: None)
+        solvers = iter([ExactLinearSolver,
+                        lambda cols: SimpleNamespace(rank=rank)])
+        monkeypatch.setattr(fibre, "ExactLinearSolver",
+                            lambda cols: next(solvers)(cols))
+        monkeypatch.setattr(fibre, "pivot_columns_mod_p", lambda cols, p: [])
         return F
 
     def test_exact_rank_below_closed_fails(self, sphere_map, monkeypatch):
@@ -625,9 +628,9 @@ class TestVerifyVanishing:
         calls, exact_runs = [], []
 
         def profile(cols, p):
-            # one attempt per column family, with the first basis prime
+            # one attempt per column family, with the one prime
             calls.append(p)
-            assert p == infinity.BASIS_PRIMES[0] and len(calls) <= 2
+            assert p == gradedlin._PRIME and len(calls) <= 2
             return edit(len(calls) - 1, real_profile(cols, p))
 
         def solver(*args, **kw):
@@ -651,28 +654,30 @@ class TestVerifyVanishing:
             verify_vanishing(F, 1, F.point([1]), 4)
         assert exact_runs == []
 
+    # "none": that family's profile has no pivots
     @pytest.mark.parametrize("edit", [
         lambda call, piv: piv[:-1] if call == 1 else piv,
-        lambda call, piv: None if call == 0 else piv,
-        lambda call, piv: None if call == 1 else piv,
+        lambda call, piv: [] if call == 0 else piv,
+        lambda call, piv: [] if call == 1 else piv,
     ], ids=["one-pivot-short", "closed-none", "exact-none"])
     def test_uncertified_profile_falls_back(self, sphere_map, monkeypatch,
                                             edit):
         F, exact_runs = self._sphere_with_profile(sphere_map, monkeypatch, edit)
         report = verify_vanishing(F, 1, F.point([1]), 4)
-        assert exact_runs == ["ExactLinearSolver", "F.solver"]
+        assert exact_runs == ["ExactLinearSolver", "ExactLinearSolver"]
         assert (report["closed_dimension"], report["exact_dimension"],
                 report["all_exact"]) == (45, 45, True)
 
     def test_point_with_prime_denominator_falls_back(self, sphere_map,
                                                      monkeypatch):
-        # y = 1/p puts p into the denominators of (f - y) eta, so the
-        # profile mod p is None and exact elimination decides
+        # y = 1/p puts p into the denominators of (f - y) eta; cleared,
+        # such a column keeps only its -eta part mod p, so the profile
+        # falls short and exact elimination decides
         F, exact_runs = self._sphere_with_profile(
             sphere_map, monkeypatch, lambda call, piv: piv)
-        y = F.point([Fraction(1, infinity.BASIS_PRIMES[0])])
+        y = F.point([Fraction(1, gradedlin._PRIME)])
         report = verify_vanishing(F, 1, y, 4)
-        assert exact_runs == ["ExactLinearSolver", "F.solver"]
+        assert exact_runs == ["ExactLinearSolver", "ExactLinearSolver"]
         assert (report["closed_dimension"], report["exact_dimension"],
                 report["all_exact"]) == (45, 45, True)
 
@@ -712,7 +717,7 @@ class TestVerifyVanishing:
                 pt = F.point([t] * F.q)
                 certified = reports(F, k, pt, bounds)
                 with monkeypatch.context() as m:
-                    m.setattr(fibre, "pivot_columns_mod_p", lambda cols, p: None)
+                    m.setattr(fibre, "pivot_columns_mod_p", lambda cols, p: [])
                     assert reports(F, k, pt, bounds) == certified
                 checked += len(bounds)
         assert checked == 4 * 26

@@ -215,8 +215,8 @@ class TestPivotColumnsModP:
         cols = [{"a": 1, "b": 2}, {"a": 2, "b": 4}, {"c": Fraction(1, 5)},
                 {"a": 1, "c": 1}, {"b": 1}, {}]
         assert pivot_columns_mod_p(cols, 2 ** 61 - 1) == [0, 2, 3]
-        # a denominator divisible by p has no residue
-        assert pivot_columns_mod_p(cols, 5) is None
+        # the 1/5 column is cleared to {c: 1}, so it keeps a residue mod 5
+        assert pivot_columns_mod_p(cols, 5) == [0, 2, 3]
         # mod 2 the first two columns are a and 0, and b becomes a pivot
         assert pivot_columns_mod_p(cols[:2] + cols[4:], 2) == [0, 2]
 
@@ -236,6 +236,7 @@ class TestReplayAgainstOracle:
             pivots = _greedy_pivots(dense)
             solver = ExactLinearSolver(cols)
             assert solver.rank == len(pivots)
+            assert solver.pivots == pivots
             deficient += len(pivots) < min(m, n)
             # three rows out of place take at least two row swaps
             swapped += sum(i != p for i, p in enumerate(solver._perm)) >= 3

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -481,61 +482,85 @@ def _fermat_c4():
     return PolyMap([a ** 3 + b ** 3 + c ** 3 + e ** 3], (1, 1, 1, 1))
 
 
-def _spy_pivots(monkeypatch):
-    """Record (p, result) of every pivot_columns_mod_p call infinity makes."""
-    calls = []
+# (2^61 - 1)(2^31 - 1): divisible by the prime of the rank profile
+SCALE_N = 4951760154835678088235319297
+
+
+def _spy_profiles(monkeypatch):
+    """Record (p, result) of every pivot_columns_mod_p call infinity makes,
+    and the pivots of every exact elimination it runs."""
+    calls, exact_runs = [], []
     real = gradedlin.pivot_columns_mod_p
 
     def spy(columns, p):
         out = real(columns, p)
         calls.append((p, out))
         return out
+
+    def elimination(columns):
+        solver = ExactLinearSolver(columns)
+        exact_runs.append(solver.pivots)
+        return solver
     monkeypatch.setattr(infinity, "pivot_columns_mod_p", spy)
-    return calls
+    monkeypatch.setattr(infinity, "ExactLinearSolver", elimination)
+    return calls, exact_runs
 
 
 class TestModularCertificate:
-    """infinity_basis picks its forms modulo a prime and certifies them."""
+    """infinity_basis picks its forms modulo a prime and certifies them;
+    when the certificate fails, the exact pivot columns pick them."""
 
-    def test_second_prime_rescues_a_bad_first_prime(self, monkeypatch):
-        # mod 3, d(a^3) vanishes, so the first prime fails the certificate
+    def test_failing_prime_falls_back_to_the_exact_profile(self, monkeypatch):
+        # mod 3, d(a^3) vanishes, so the prime fails the certificate
         want = infinity_basis(_fermat_c4())
-        calls = _spy_pivots(monkeypatch)
-        monkeypatch.setattr(infinity, "BASIS_PRIMES", (3, 2 ** 61 - 1))
+        calls, exact_runs = _spy_profiles(monkeypatch)
+        monkeypatch.setattr(infinity, "_PRIME", 3)
         got = infinity_basis(_fermat_c4())
-        assert {p for p, _ in calls} == {3, 2 ** 61 - 1}
+        assert calls and {p for p, _ in calls} == {3}
+        assert exact_runs
         assert got.mu == want.mu == 16
         assert got.degrees == want.degrees
         assert got.forms == want.forms
 
-    def test_denominator_divisible_by_the_prime_fails_that_prime(
-            self, monkeypatch):
+    def test_prime_in_a_denominator_is_certified_without_exact_elimination(
+            self, golden_basis, monkeypatch):
+        # fbar_1 = x*z/p is cleared to x*z, so every residue mod p survives
         x, y, z = variables(3)
-        F = PolyMap([x * z, x ** 2 + Fraction(1, 3) * y ** 2 - z ** 2],
+        p = gradedlin._PRIME
+        F = PolyMap([Fraction(1, p) * x * z, x ** 2 + y ** 2 - z ** 2],
                     (1, 1, 1))
-        want = infinity_basis(F)
-        calls = _spy_pivots(monkeypatch)
-        monkeypatch.setattr(infinity, "BASIS_PRIMES", (3, 2 ** 61 - 1))
+        calls, exact_runs = _spy_profiles(monkeypatch)
         got = infinity_basis(F)
-        assert (3, None) in calls
-        assert got.degrees == want.degrees == [2, 2, 2, 3, 3]
-        assert got.forms == want.forms
+        assert calls and {q for q, _ in calls} == {p}
+        assert exact_runs == []
+        assert got.degrees == golden_basis.degrees == [2, 2, 2, 3, 3]
+        assert got.forms == golden_basis.forms
+
+    @pytest.mark.parametrize("scale", [SCALE_N, Fraction(1, SCALE_N)],
+                             ids=["N", "1/N"])
+    def test_scaled_golden_map_has_the_golden_basis(self, golden_basis, scale):
+        # scaling fbar_1 by N leaves the exact space unchanged; mod p the
+        # d-columns keep their residues while the fbar_1 columns vanish
+        # (N) or clear to x*z (1/N)
+        x, y, z = variables(3)
+        F = PolyMap([scale * x * z, x ** 2 + y ** 2 - z ** 2], (1, 1, 1))
+        got = infinity_basis(F)
+        assert got.degrees == golden_basis.degrees
+        assert got.forms == golden_basis.forms
 
     @pytest.mark.parametrize("short_in_degree_2", [True, False])
     def test_each_check_rejects_a_skewed_profile(self, golden_map, golden_basis,
                                                  monkeypatch, short_in_degree_2):
-        # A skewed profile for p = 101 keeps a dependent candidate in
-        # degree 3.  With one form too few in degree 2 it keeps mu = 5
-        # forms in all, but the span check rejects it at degree 2; without,
-        # it spans every piece but keeps 6 forms, so the count check
-        # rejects it.  The next prime then answers.
+        # A skewed profile keeps a dependent candidate in degree 3.  With
+        # one form too few in degree 2 it keeps mu = 5 forms in all, but
+        # the span check rejects it at degree 2; without, it spans every
+        # piece but keeps 6 forms, so the count check rejects it.  The
+        # exact profile then answers.
         real = gradedlin.pivot_columns_mod_p
         calls = []
 
         def skewed(columns, p):
             pivots = real(columns, p)
-            if p != 101:
-                return pivots
             calls.append(p)
             if len(calls) == 1 and short_in_degree_2:
                 return pivots[:-1]
@@ -545,16 +570,23 @@ class TestModularCertificate:
                              if j not in pivots)
                 return sorted(pivots[1:] + [extra])
             return pivots
+        _, exact_runs = _spy_profiles(monkeypatch)
         monkeypatch.setattr(infinity, "pivot_columns_mod_p", skewed)
-        monkeypatch.setattr(infinity, "BASIS_PRIMES", (101, 2 ** 61 - 1))
         B = infinity_basis(golden_map)
         assert len(calls) == (1 if short_in_degree_2 else 3)
+        assert len(exact_runs) == 3
         assert B.degrees == golden_basis.degrees
         assert B.forms == golden_basis.forms
 
-    def test_every_prime_failing_is_an_internal_error(self, monkeypatch,
-                                                      capsys, tmp_path):
-        monkeypatch.setattr(infinity, "BASIS_PRIMES", (3, 5))
+    def test_exact_profile_failing_is_an_internal_error(self, monkeypatch,
+                                                        capsys, tmp_path):
+        # both profiles skewed: the prime spans nothing, and the exact
+        # elimination misses its last pivot
+        def short(cols):
+            return SimpleNamespace(pivots=ExactLinearSolver(cols).pivots[:-1])
+        monkeypatch.setattr(infinity, "pivot_columns_mod_p",
+                            lambda cols, p: [])
+        monkeypatch.setattr(infinity, "ExactLinearSolver", short)
         with pytest.raises(RuntimeError, match="^internal: "):
             infinity_basis(_fermat_c4())
         path = tmp_path / "fermat.fib"
