@@ -18,8 +18,8 @@ negative CIA verdict from check), 2 parse or input error, 3 internal error
 from __future__ import annotations
 
 import argparse
+import re
 import sys
-from fractions import Fraction
 
 from .polyform import KForm, Polynomial
 from .infinity import (PolyMap, PreconditionError, infinity_basis,
@@ -27,7 +27,7 @@ from .infinity import (PolyMap, PreconditionError, infinity_basis,
 from .fibre import (FibreClass, RelativeDecomposition, fibre_class,
                     is_in_subalgebra, relative_decompose, verify_decomposition)
 from .parse import (ParseError, form_str, form_to_polynomial, parse_form_expr,
-                    parse_point, parse_problem, poly_str)
+                    parse_point, parse_problem, parse_rational, poly_str)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -108,12 +108,23 @@ def form_from_json(data, n):
                              f"integers, got {e!r} and {S!r}")
         S = tuple(S)
         k = len(S)
-        by_s.setdefault(S, {})[tuple(e)] = Fraction(c)
+        by_s.setdefault(S, {})[tuple(e)] = parse_rational(c)
     return KForm(n, k, {S: Polynomial(n, t) for S, t in by_s.items()})
 
 
 def poly_from_json(data, n):
     return form_from_json(data, n).as_polynomial()
+
+
+def _long_integer_at(raw):
+    """(line, column) of the first JSON integer longer than int() converts,
+    the one ValueError of json.loads that is not a JSONDecodeError."""
+    for m in re.finditer(r'"(?:[^"\\]|\\.)*"|[-+.0-9eE]+', raw):
+        digits = m.group().lstrip("-")
+        if digits.isdigit() and len(digits) > sys.get_int_max_str_digits():
+            at = m.start()
+            return raw.count("\n", 0, at) + 1, at - raw.rfind("\n", 0, at)
+    return None, None
 
 
 def _emit_json(obj):
@@ -278,6 +289,9 @@ def cmd_verify(args):
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad witness JSON: {exc}")
+    except ValueError:
+        raise ParseError("bad witness JSON: integer literal too long",
+                         *_long_integer_at(raw)) from None
 
     def fail(reason):
         print(f"verification: FAIL ({reason})")
@@ -307,9 +321,9 @@ def cmd_verify(args):
     try:
         omega = form_from_json(data["form"], n)
         if command == "class":
-            point = tuple(Fraction(c) for c in data["point"])
+            point = tuple(parse_rational(c) for c in data["point"])
             payload = FibreClass(point,
-                                 [Fraction(c) for c in result["lambda"]],
+                                 [parse_rational(c) for c in result["lambda"]],
                                  form_from_json(witness["omega"], n),
                                  [form_from_json(e, n) for e in witness["eta"]])
         else:

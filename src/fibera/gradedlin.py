@@ -33,7 +33,7 @@ from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .polyform import KForm, Polynomial, _eadd, _merge_indices
 
@@ -145,7 +145,8 @@ _PRIME = 2**61 - 1
 
 def pivot_columns_mod_p(columns, p):
     """Indices of the columns independent of the columns before them
-    modulo the prime p, after each column is cleared to integers.
+    modulo the prime p, after each column is cleared to integers (and
+    divided by their gcd when p divides all of them).
 
     Columns are sparse dicts of rationals over comparable row keys.  A
     pivot is stored under its pivot row, the smallest key of the reduced
@@ -163,6 +164,12 @@ def pivot_columns_mod_p(columns, p):
             c = c.numerator * (s // c.denominator) % p
             if c:
                 v[key] = c
+        if not v and any(col.values()):
+            # every cleared entry is a multiple of p: the column divided by
+            # the gcd of its entries has the same span and a unit residue
+            ints = {key: c.numerator * (s // c.denominator) for key, c in col.items()}
+            g = gcd(*ints.values())
+            v = {key: c // g % p for key, c in ints.items() if c // g % p}
         todo = [key for key in v if key in pivots]
         heapify(todo)
         while todo:

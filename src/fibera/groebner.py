@@ -15,8 +15,8 @@ which the callers rely on for reproducibility.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from itertools import combinations
+from heapq import heappop, heappush
+from itertools import combinations, product
 
 from .polyform import Polynomial, _eadd
 
@@ -63,36 +63,33 @@ def _esub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _reduce(terms, gens_data, order, cofactors=None):
+def _subtract(terms, ratio, q, gterms):
+    """terms -= ratio * x^q * gterms, in place, dropping zero coefficients."""
+    for me, mc in gterms.items():
+        ne = _eadd(me, q)
+        v = terms.get(ne, 0) - ratio * mc
+        if v:
+            terms[ne] = v
+        else:
+            terms.pop(ne, None)
+
+
+def _reduce(terms, gens_data, order):
     """Full normal form of a term dict against (lead_exp, lead_coeff, terms) data.
 
-    Mutates and consumes `terms`; returns the remainder dict.  When a
-    cofactor list is supplied it accumulates the quotient monomials so that
-    input = sum(cofactor_i * g_i) + remainder exactly.
+    Mutates and consumes `terms`; returns the remainder dict.
     """
     rem = {}
     key = order.key
     while terms:
         e = max(terms, key=key)
         c = terms[e]
-        for idx, (ge, gc, gterms) in enumerate(gens_data):
+        for ge, gc, gterms in gens_data:
             if _divides(ge, e):
-                q = _esub(e, ge)
-                ratio = c / gc
-                for me, mc in gterms.items():
-                    ne = _eadd(me, q)
-                    v = terms.get(ne, 0) - ratio * mc
-                    if v:
-                        terms[ne] = v
-                    else:
-                        terms.pop(ne, None)
-                if cofactors is not None:
-                    cof = cofactors[idx]
-                    cof[q] = cof.get(q, 0) + ratio
+                _subtract(terms, c / gc, _esub(e, ge), gterms)
                 break
         else:
-            rem[e] = c
-            del terms[e]
+            rem[e] = terms.pop(e)
     return rem
 
 
@@ -122,55 +119,38 @@ class GroebnerBasis:
     def leading_exponents(self):
         return [e for e, _, _ in self._data]
 
-    def normal_form(self, P, with_cofactors=False):
-        """Unique remainder of P modulo the basis.
-
-        With cofactors, returns (remainder, [a_i]) with
-        P = sum a_i g_i + remainder.
-        """
-        cof = [{} for _ in self.generators] if with_cofactors else None
-        rem = _reduce(dict(P.terms), self._data, self.order, cof)
-        r = Polynomial(self.n, rem)
-        if with_cofactors:
-            return r, [Polynomial(self.n, c) for c in cof]
-        return r
+    def normal_form(self, P):
+        """Unique remainder of P modulo the basis."""
+        return Polynomial(self.n, _reduce(dict(P.terms), self._data, self.order))
 
     def contains(self, P):
         return self.normal_form(P).is_zero()
 
 
 def buchberger(gens, order):
-    """Reduced Groebner basis of the ideal generated by gens.
+    """Reduced Groebner basis of the ideal generated by the polynomials gens.
 
     Normal selection strategy (smallest lcm first, ties by pair index),
     pairs kept in a heap, with both classical pair-skipping criteria.
     """
-    basis = []  # list of term dicts
-    data = []  # parallel (lead_exp, lead_coeff, terms)
-    for g in gens:
-        if isinstance(g, Polynomial):
-            t = dict(g.terms)
-        else:
-            t = dict(g)
-        if t:
-            basis.append(t)
-    if not basis:
-        return GroebnerBasis([], order)
-    n = order.n
-
-    data = [order.leading(t) + (t,) for t in basis]
-    if any(not any(e) for e, _, _ in data):
-        return GroebnerBasis([Polynomial.constant(n, 1)], order)
+    data = []  # (lead_exp, lead_coeff, terms) of every generator so far
+    pairs = []
+    done = set()
 
     def lcm_exp(a, b):
         return tuple(max(x, y) for x, y in zip(a, b))
 
-    pairs = [(order.key(lcm_exp(data[i][0], data[j][0])), i, j)
-             for j in range(len(basis)) for i in range(j)]
-    heapify(pairs)
-    done = set()
+    def add(t):
+        """Append a generator and its pairs; False if it is a constant."""
+        e, c = order.leading(t)
+        for m, (em, _, _) in enumerate(data):
+            heappush(pairs, (order.key(lcm_exp(em, e)), m, len(data)))
+        data.append((e, c, t))
+        return any(e)
 
-    while pairs:
+    # add stops at the first constant generator: the ideal is then the unit one
+    unit = not all(add(g.terms) for g in gens if g.terms)
+    while pairs and not unit:
         _, i, j = heappop(pairs)
         done.add((i, j))
         ei, ci, ti = data[i]
@@ -181,68 +161,34 @@ def buchberger(gens, order):
             continue
         # chain criterion: a third generator divides the lcm and both
         # linking pairs were already treated
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if _divides(data[k][0], l):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
+        if any(k != i and k != j and _divides(ek, l)
+               and (min(i, k), max(i, k)) in done
+               and (min(j, k), max(j, k)) in done
+               for k, (ek, _, _) in enumerate(data)):
             continue
-        # S-polynomial
-        s = {}
+        # S-polynomial: x^(l - ei) ti/ci - x^(l - ej) tj/cj
         qi = _esub(l, ei)
-        for me, mc in ti.items():
-            e = _eadd(me, qi)
-            v = s.get(e, 0) + mc / ci
-            if v:
-                s[e] = v
-            else:
-                del s[e]
-        qj = _esub(l, ej)
-        for me, mc in tj.items():
-            e = _eadd(me, qj)
-            v = s.get(e, 0) - mc / cj
-            if v:
-                s[e] = v
-            else:
-                del s[e]
+        s = {_eadd(me, qi): mc / ci for me, mc in ti.items()}
+        _subtract(s, 1 / cj, _esub(l, ej), tj)
         h = _reduce(s, data, order)
-        if not h:
-            continue
-        he, hc = order.leading(h)
-        if not any(he):
-            return GroebnerBasis([Polynomial.constant(n, 1)], order)
-        new = len(basis)
-        basis.append(h)
-        data.append((he, hc, h))
-        for m in range(new):
-            heappush(pairs, (order.key(lcm_exp(data[m][0], he)), m, new))
+        if h:
+            unit = not add(h)
+    if unit:
+        return GroebnerBasis([Polynomial.constant(order.n, 1)], order)
 
-    # minimalize: drop generators whose leading monomial another divides
-    order_idx = sorted(range(len(basis)), key=lambda i: order.key(data[i][0]))
+    # minimalize: drop generators whose leading monomial another divides;
+    # scanning by increasing leading monomial keeps them sorted
     kept = []
-    for i in order_idx:
-        if not any(_divides(data[j][0], data[i][0]) for j in kept):
-            kept.append(i)
-    # interreduce: each generator fully reduced against the others
-    final = {i: basis[i] for i in kept}
-    for i in kept:
-        # leading terms survive interreduction, so data[j][:2] stays valid
-        others = [(data[j][0], data[j][1], final[j]) for j in kept if j != i]
-        red = _reduce(dict(final[i]), others, order)
-        final[i] = red
-    out = []
-    for i in kept:
-        t = final[i]
-        _, c = order.leading(t)
-        out.append(Polynomial(n, {me: mc / c for me, mc in t.items()}))
-    out.sort(key=lambda g: order.key(order.leading(g.terms)[0]))
-    return GroebnerBasis(out, order)
+    for d in sorted(data, key=lambda d: order.key(d[0])):
+        if not any(_divides(k[0], d[0]) for k in kept):
+            kept.append(d)
+    # interreduce: each generator fully reduced against the others; leading
+    # terms survive interreduction, so each lead exponent and coefficient
+    # stays valid and the order stays sorted
+    for i, (e, c, t) in enumerate(kept):
+        kept[i] = (e, c, _reduce(dict(t), kept[:i] + kept[i + 1:], order))
+    return GroebnerBasis([Polynomial(order.n, {me: mc / c for me, mc in t.items()})
+                          for _, c, t in kept], order)
 
 
 def ideal_dimension(basis):
@@ -284,18 +230,8 @@ def quotient_vector_basis(basis):
         if not pure:
             raise RuntimeError("internal: zero-dimensional staircase lacks a pure power")
         caps.append(min(pure))
-    out = []
-
-    def rec(i, prefix):
-        if i == n:
-            e = tuple(prefix)
-            if not any(_divides(l, e) for l in leads):
-                out.append(e)
-            return
-        for a in range(caps[i]):
-            rec(i + 1, prefix + [a])
-
-    rec(0, [])
+    out = [e for e in product(*map(range, caps))
+           if not any(_divides(l, e) for l in leads)]
     out.sort(key=basis.order.key)
     return out
 

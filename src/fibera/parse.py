@@ -19,6 +19,7 @@ object.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -47,6 +48,30 @@ def _is_digits(s):
     return s.isascii() and s.isdigit()
 
 
+def _int(digits, line, col):
+    """int of an ASCII digit string, or a ParseError at (line, col) when it
+    is longer than int() converts (4300 digits by default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long",
+                         line, col) from None
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_rational(value):
+    """Fraction of a string [+-]?digits[/digits] in ASCII digits, the form
+    fibera prints; a value that is not a string (a JSON number) goes to
+    Fraction as it is.  Fraction alone would also read exponent notation,
+    and Fraction('1e10000000') takes seconds.  Raises ValueError or
+    ZeroDivisionError."""
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        raise ValueError(f"bad rational {value!r}")
+    return Fraction(value)
+
+
 def _tokenize(src, line=1, col=1):
     tokens = []
     i = 0
@@ -66,7 +91,7 @@ def _tokenize(src, line=1, col=1):
             j = i
             while j < length and _is_digits(src[j]):
                 j += 1
-            tokens.append(("num", int(src[i:j]), line, col))
+            tokens.append(("num", _int(src[i:j], line, col), line, col))
             col += j - i
             i = j
             continue
@@ -299,7 +324,7 @@ def parse_point(text, q, line=None, col=None):
     for piece, off in _split_top(text):
         s = piece.strip()
         try:
-            coords.append(Fraction(s))
+            coords.append(parse_rational(s))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational {s!r} in point", line,
                              None if col is None else col + off)
@@ -360,10 +385,11 @@ def parse_problem(text):
     for piece, off in _split_top(inner):
         s = piece.strip()
         pcol = icol + off + (len(piece) - len(piece.lstrip()))
-        if not _is_digits(s) or int(s) < 1:
+        w = _int(s, lineno, pcol) if _is_digits(s) else 0
+        if w < 1:
             raise ParseError(f"weights must be positive integers, got {s!r}",
                              lineno, pcol)
-        weights.append(int(s))
+        weights.append(w)
     if len(weights) != len(var_names):
         raise ParseError(f"{len(var_names)} variables but {len(weights)} weights",
                          lineno, col)

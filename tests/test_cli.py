@@ -81,6 +81,11 @@ def _set_in(keys, value):
     return edit
 
 
+# an integer literal longer than int() converts (4300 digits by default)
+LONG = "1" + "0" * 5000
+EXPONENT = "1e999999999"
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -265,23 +270,42 @@ class TestGuardsAndErrors:
          EXIT_PARSE, "malformed witness payload: cannot convert Infinity"),
         ("verify", _set_in(["problem"], 5),
          EXIT_PARSE, "witness JSON problem is not a string"),
+        ("class", ["--form", LONG + "*d[x]", "--point", "1,0"],
+         EXIT_PARSE, "line 1, column 1: integer literal of 5001 digits is too long"),
+        ("check", ('"x*z"', f'"{LONG}*x*z"'),
+         EXIT_PARSE, "line 4, column 13: integer literal of 5001 digits is too long"),
+        ("check", ("weights = [1, 1, 1]", f"weights = [1, {LONG}, 1]"),
+         EXIT_PARSE, "line 3, column 15: integer literal of 5001 digits is too long"),
+        ("verify", _set_in(["result", "a", 1, 0, 0], ["LONG", 0]),
+         EXIT_PARSE, "bad witness JSON: integer literal too long"),
+        ("class", ["--form", "d[x]", "--point", EXPONENT + ",0"],
+         EXIT_PARSE, f"bad rational '{EXPONENT}' in point"),
+        ("verify", _set_in(["form", 0, 2], EXPONENT),
+         EXIT_PARSE, f"malformed witness payload: bad rational '{EXPONENT}'"),
+        ("verify-class", _set_in(["result", "lambda", 0], EXPONENT),
+         EXIT_PARSE, f"malformed witness payload: bad rational '{EXPONENT}'"),
     ], ids=["superscript-in-form", "superscript-weight", "zero-form-component",
             "negative-exponent-in-a", "index-list-in-a", "fractional-exponent",
-            "infinite-coefficient", "problem-not-a-string"])
+            "infinite-coefficient", "problem-not-a-string", "long-integer-in-form",
+            "long-integer-in-map", "long-weight", "long-integer-in-witness",
+            "exponent-in-point", "exponent-in-coefficient", "exponent-in-lambda"])
     def test_malformed_input_exits_cleanly(self, capsys, tmp_path, golden_file,
                                            command, edit, code, message):
         if command == "check":
             path = tmp_path / "edited.fib"
             path.write_text(GOLDEN_SOURCE.replace(*edit))
             argv = [command, str(path)]
-        elif command == "verify":
+        elif command.startswith("verify"):
             # decomposes w1 = -b_2: a_2 = -1 is the witness's only a-term
-            assert main(["decompose", golden_file, "--form", "w1", "--json"]) == 0
+            emit = (["class", golden_file, "--form", "w1", "--point", "1,0",
+                     "--witness"] if command == "verify-class"
+                    else ["decompose", golden_file, "--form", "w1"])
+            assert main([*emit, "--json"]) == 0
             obj = json.loads(capsys.readouterr().out)
             edit(obj)
             path = tmp_path / "edited.json"
-            path.write_text(json.dumps(obj))
-            argv = [command, str(path)]
+            path.write_text(json.dumps(obj).replace('"LONG"', LONG))
+            argv = ["verify", str(path)]
         else:
             argv = [command, golden_file, *edit]
         got, out, err = run(capsys, argv)

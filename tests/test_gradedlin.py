@@ -217,8 +217,20 @@ class TestPivotColumnsModP:
         assert pivot_columns_mod_p(cols, 2 ** 61 - 1) == [0, 2, 3]
         # the 1/5 column is cleared to {c: 1}, so it keeps a residue mod 5
         assert pivot_columns_mod_p(cols, 5) == [0, 2, 3]
-        # mod 2 the first two columns are a and 0, and b becomes a pivot
+        # mod 2 the second column, divided by the gcd 2 of its entries, is
+        # a again, and b becomes a pivot
         assert pivot_columns_mod_p(cols[:2] + cols[4:], 2) == [0, 2]
+
+    def test_columns_of_multiples_of_the_prime_keep_their_pivots(self):
+        # mod 5 every cleared entry of columns 1 and 2 vanishes; divided by
+        # their gcd they are b + 2c and b, independent as over Q.  A
+        # column of zero entries stays dependent.
+        cols = [{"a": 1}, {"b": 5, "c": 10}, {"b": Fraction(5, 3)},
+                {"c": Fraction(0)}, {"c": 1}]
+        dense = [[c.get(i, Fraction(0)) for i in "abc"] for c in cols]
+        assert _greedy_pivots(dense) == [0, 1, 2]
+        for p in (5, 2 ** 61 - 1):
+            assert pivot_columns_mod_p(cols, p) == [0, 1, 2]
 
 
 class TestReplayAgainstOracle:

@@ -140,13 +140,24 @@ class TestBuchberger:
                         assert not all(a <= b for a, b in zip(le, e))
 
 
+def _sympy_poly(P, xs):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator) for e, c in P.terms.items()},
+        *xs)
+
+
+def _sympy_terms(expr, xs):
+    sympy = pytest.importorskip("sympy")
+    return {e: Fraction(int(v.p), int(v.q))
+            for e, v in sympy.Poly(expr, *xs).as_dict().items()}
+
+
 def _sympy_reduced_basis(gens, n):
     """Monic reduced grevlex basis from sympy, as a set of term sets."""
     sympy = pytest.importorskip("sympy")
     xs = sympy.symbols(f"x0:{n}")
-    polys = [sympy.Poly.from_dict(
-        {e: sympy.Rational(c.numerator, c.denominator) for e, c in g.terms.items()},
-        *xs) for g in gens]
+    polys = [_sympy_poly(g, xs) for g in gens]
     out = set()
     for g in sympy.groebner(polys, *xs, order="grevlex").exprs:
         P = sympy.Poly(g, *xs)
@@ -191,6 +202,31 @@ class TestSympyOracle:
             gb = buchberger(gens, MonomialOrder((1,) * n))
             assert _monic(gb) == _sympy_reduced_basis(gens, n)
 
+    def test_normal_form_matches_sympy_reduced(self):
+        # the remainder on division by a reduced basis is unique, so it
+        # equals sympy's for the same grevlex order
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(38)
+        moved = 0
+        for trial in range(8):
+            n = rng.choice([2, 3])
+            gens = [make_random_poly(rng, n, (1,) * n, rng.randint(2, 3),
+                                     density=0.5) for _ in range(rng.randint(2, 3))]
+            gens = [g for g in gens if not g.is_zero()]
+            if not gens:
+                continue
+            gb = buchberger(gens, MonomialOrder((1,) * n))
+            xs = sympy.symbols(f"x0:{n}")
+            G = [_sympy_poly(g, xs).as_expr() for g in gb]
+            for _ in range(3):
+                p = make_random_poly(rng, n, (1,) * n, 5)
+                _, r = sympy.reduced(_sympy_poly(p, xs).as_expr(), G, *xs,
+                                     order="grevlex", domain="QQ")
+                rem = gb.normal_form(p)
+                assert rem.terms == _sympy_terms(r, xs)
+                moved += rem != p
+        assert moved >= 5
+
 
 class TestNormalForm:
     def test_idempotent_and_linear(self):
@@ -207,7 +243,13 @@ class TestNormalForm:
             assert gb.normal_form(c * p) == c * np_
 
     def test_cofactor_identity(self):
+        # rem = normal_form(p) satisfies p = sum a_i g_i + rem: p - rem lies
+        # in the ideal by sympy's own grevlex basis (membership does not
+        # depend on the order), and rem is reduced, with no term divisible
+        # by a leading monomial of fibera's basis
+        sympy = pytest.importorskip("sympy")
         rng = random.Random(36)
+        moved = 0
         for trial in range(10):
             n = rng.choice([2, 3])
             w = tuple(rng.randint(1, 3) for _ in range(n))
@@ -217,11 +259,16 @@ class TestNormalForm:
                 continue
             gb = buchberger(gens, MonomialOrder(w))
             p = make_random_poly(rng, n, w, 5)
-            rem, cof = gb.normal_form(p, with_cofactors=True)
-            recon = rem
-            for a, g in zip(cof, gb):
-                recon = recon + a * g
-            assert recon == p
+            rem = gb.normal_form(p)
+            xs = sympy.symbols(f"x0:{n}")
+            ideal = sympy.groebner([_sympy_poly(g, xs) for g in gens], *xs,
+                                   order="grevlex", domain="QQ")
+            assert ideal.contains(_sympy_poly(p - rem, xs).as_expr())
+            leads = gb.leading_exponents()
+            for e in rem.terms:
+                assert not any(all(a <= b for a, b in zip(le, e)) for le in leads)
+            moved += rem != p
+        assert moved >= 5
 
     def test_membership(self):
         x, y = variables(2)

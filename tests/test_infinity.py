@@ -548,6 +548,20 @@ class TestModularCertificate:
         assert got.degrees == golden_basis.degrees
         assert got.forms == golden_basis.forms
 
+    def test_map_scaled_by_a_multiple_of_the_prime_needs_no_exact_elimination(
+            self, monkeypatch):
+        # every cleared entry of a column x^e dx_S * fbar is a multiple of p
+        # for fbar = N*(a^3 + ...); divided by their gcd they keep residues
+        want = infinity_basis(_fermat_c4())
+        a, b, c, e = variables(4)
+        F = PolyMap([SCALE_N * (a ** 3 + b ** 3 + c ** 3 + e ** 3)], (1, 1, 1, 1))
+        calls, exact_runs = _spy_profiles(monkeypatch)
+        got = infinity_basis(F)
+        assert calls and exact_runs == []
+        assert got.mu == want.mu == 16
+        assert got.degrees == want.degrees
+        assert got.forms == want.forms
+
     @pytest.mark.parametrize("short_in_degree_2", [True, False])
     def test_each_check_rejects_a_skewed_profile(self, golden_map, golden_basis,
                                                  monkeypatch, short_in_degree_2):
