@@ -14,7 +14,8 @@ elimination over the integers, keeping its row swaps and multipliers.
 The factorization is reused across targets, so deciding many membership
 questions against one column family costs one elimination.  Witnesses
 are deterministic: first usable pivot in enumeration order, free
-variables set to zero.
+variables set to zero, so a column in the span of the columns before it
+never enters one (PolyMap.exactness_groups builds no such d-column).
 
 Where only a rank profile is needed, pivot_columns_mod_p reduces the
 same integer columns modulo one fixed prime p with sparse pivot dicts

@@ -29,6 +29,7 @@ from .polyform import (KForm, Polynomial, euler_contraction,
                        exterior_derivative, validate_weights, wedge)
 from .groebner import (MonomialOrder, buchberger, elimination_order,
                        ideal_dimension, quotient_vector_basis)
+from .parse import parse_rational
 from .gradedlin import (_PRIME, ColumnGroup, CombinationSolver,
                         ExactLinearSolver, d_column, kform_coordinates,
                         monomial_basis, monomial_keys, pivot_columns_mod_p,
@@ -84,6 +85,7 @@ class PolyMap:
         self.components = components
         self.degrees = [f.weighted_degree(self.weights) for f in components]
         self.top_components = [f.top_component(self.weights) for f in components]
+        self._top_forms = [KForm.from_polynomial(g) for g in self.top_components]
         self.order = MonomialOrder(self.weights)
         self.infinity_gb = buchberger(self.top_components, self.order)
         self.jac_form = _wedge_differentials(self.components)
@@ -107,8 +109,9 @@ class PolyMap:
         return hit
 
     def point(self, values):
-        """Coerce a value sequence to a fibre point (tuple of q Fractions)."""
-        pt = tuple(Fraction(v) for v in values)
+        """Coerce a value sequence to a fibre point (tuple of q Fractions);
+        strings are read by parse_rational."""
+        pt = tuple(parse_rational(v) for v in values)
         if len(pt) != self.q:
             raise ValueError(f"point needs {self.q} coordinates, got {len(pt)}")
         return pt
@@ -128,19 +131,25 @@ class PolyMap:
         With y None: the degree-r graded piece at infinity, g_i = fbar_i.
         With a point y: all degrees <= r on the fibre, g_i = f_i - y_i.
         Layout: group 0 is the d-image block (empty basis when k == 0),
-        groups 1..q the multiples of each g_i.
+        groups 1..q the multiples of each g_i.  The d block keeps d(x^e dx_S)
+        only when e_j > 0 for some j > max S (any e != 0 when S is empty).
+        Else, with s = max S, (e_s + 1) x^e dx_S = +-d(x^(e+1_s) dx_(S-s))
+        minus forms x^e' dx_T of its degree with T = S - s + i, i < s, so
+        earlier in key order: the column lies in the span of earlier
+        d-columns, is never a pivot, and no rank, pivot or witness changes.
         """
         y = None if y is None else self.point(y)
         return self._cached(("groups", k, r, y), lambda: self._groups(k, r, y))
 
     def _groups(self, k, r, y):
         n, w, bounded = self.n, self.weights, y is not None
-        keys = monomial_keys(n, k - 1, w, r, bounded) if k >= 1 else []
+        keys = [(S, e) for S, e in monomial_keys(n, k - 1, w, r, bounded)
+                if any(e[S[-1] + 1:] if S else e)] if k >= 1 else []
         groups = [ColumnGroup(n, max(k - 1, 0), [{m: 1} for m in keys],
                               [d_column(*m) for m in keys])]
-        gs = self._shifted(y) if bounded else self.top_components
-        return groups + [wedge_group(KForm.from_polynomial(g), k, r, w, bounded)
-                         for g in gs]
+        gs = ([KForm.from_polynomial(g) for g in self._shifted(y)] if bounded
+              else self._top_forms)
+        return groups + [wedge_group(g, k, r, w, bounded) for g in gs]
 
     def solver(self, k, r, y=None, lead=None):
         """Cached CombinationSolver over exactness_groups(k, r, y), preceded

@@ -48,7 +48,7 @@ def _is_digits(s):
     return s.isascii() and s.isdigit()
 
 
-def _int(digits, line, col):
+def _int(digits, line=None, col=None):
     """int of an ASCII digit string, or a ParseError at (line, col) when it
     is longer than int() converts (4300 digits by default)."""
     try:
@@ -65,11 +65,17 @@ def parse_rational(value):
     """Fraction of a string [+-]?digits[/digits] in ASCII digits, the form
     fibera prints; a value that is not a string (a JSON number) goes to
     Fraction as it is.  Fraction alone would also read exponent notation,
-    and Fraction('1e10000000') takes seconds.  Raises ValueError or
-    ZeroDivisionError."""
-    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+    and Fraction('1e10000000') takes seconds.  Raises ValueError (a
+    ParseError, which gives the digit count and not the digits, for an
+    integer longer than int() converts) or ZeroDivisionError."""
+    if not isinstance(value, str):
+        return Fraction(value)
+    if not _RATIONAL.fullmatch(value):
         raise ValueError(f"bad rational {value!r}")
-    return Fraction(value)
+    num, _, den = value.lstrip("+-").partition("/")
+    num = _int(num)
+    return Fraction(-num if value[0] == "-" else num,
+                    _int(den) if den else 1)
 
 
 def _tokenize(src, line=1, col=1):
@@ -325,6 +331,9 @@ def parse_point(text, q, line=None, col=None):
         s = piece.strip()
         try:
             coords.append(parse_rational(s))
+        except ParseError as exc:
+            raise ParseError(f"{exc.message} in point", line,
+                             None if col is None else col + off)
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad rational {s!r} in point", line,
                              None if col is None else col + off)

@@ -342,24 +342,32 @@ def top_terms(terms, weights):
     return {e: c for e, c in terms.items() if wdeg(e, weights) == top}
 
 
-def exactness_columns(n, k, weights, tops, degree):
-    """Columns spanning the degree piece of d(Omega^(k-1)) + sum tops_i Omega^k.
+def d_form_column(S, e):
+    """Coordinates of d(x^e dx_S) = sum_j d_j(x^e) dx_j ^ dx_S, where dx_j ^
+    dx_S is (-1)^#{s in S : s < j} dx_(S + j), or 0 when j is in S."""
+    col = {}
+    for j in range(len(e)):
+        if j in S:
+            continue
+        sign = -1 if sum(s < j for s in S) % 2 else 1
+        T = tuple(sorted(S + (j,)))
+        for e2, c in poly_derivative({e: Fraction(1)}, j).items():
+            col[(T, e2)] = col.get((T, e2), Fraction(0)) + sign * c
+    return {key: v for key, v in col.items() if v}
 
-    d(x^e dx_S) = sum_j d_j(x^e) dx_j ^ dx_S, and dx_j ^ dx_S is
-    (-1)^#{s in S : s < j} dx_(S + j), or 0 when j is in S.
-    """
-    cols = []
-    if k >= 1:
-        for S, e in form_monomials(n, k - 1, weights, degree):
-            col = {}
-            for j in range(n):
-                if j in S:
-                    continue
-                sign = -1 if sum(s < j for s in S) % 2 else 1
-                T = tuple(sorted(S + (j,)))
-                for e2, c in poly_derivative({e: F1}, j).items():
-                    col[(T, e2)] = col.get((T, e2), F0) + sign * c
-            cols.append({key: v for key, v in col.items() if v})
+
+def full_d_block(n, k, weights, degree, at_most=False):
+    """Every monomial k-form (S, e) of weighted degree == degree (<= with
+    at_most), sorted by S and then e, and the columns d(x^e dx_S): the d
+    block with no column left out."""
+    degrees = range(degree + 1) if at_most else [degree]
+    keys = sorted(m for r in degrees for m in form_monomials(n, k, weights, r))
+    return keys, [d_form_column(S, e) for S, e in keys]
+
+
+def exactness_columns(n, k, weights, tops, degree):
+    """Columns spanning the degree piece of d(Omega^(k-1)) + sum tops_i Omega^k."""
+    cols = full_d_block(n, k - 1, weights, degree)[1] if k >= 1 else []
     for g in tops:
         gd = wdeg(next(iter(g)), weights)
         for S, a in form_monomials(n, k, weights, degree - gd):

@@ -30,6 +30,22 @@ weights = [1, 1]
 map     = ["x^4 + x^2*y^2"]
 """
 
+# (a*c + b*e, a^2 + b^2 - c^2 + e^2) on C^4: the classes are 2-forms, so
+# the d block is built from 1-forms, where most d-columns are dependent
+QUADRIC_SOURCE = """\
+vars    = [a, b, c, e]
+weights = [1, 1, 1, 1]
+map     = ["a*c + b*e", "a^2 + b^2 - c^2 + e^2"]
+"""
+QUADRIC_FORM = "3*a^2*b*d[a, c] - 2*c*e^2*d[b, e] + a*b*d[c, e] + 4*e*d[a, b]"
+
+# sha256 and length of the stdout of `class --witness --json` and
+# `decompose --json` for QUADRIC_FORM, frozen from an earlier release
+QUADRIC_CLASS_STDOUT = (
+    "0b84cd9e5b4af8e52687ce31d19fd1e05bdca9a2b40bc13d338b59e0e89be241", 10593)
+QUADRIC_DECOMPOSE_STDOUT = (
+    "ba0a616077e34ca10e9461656e1cea157cd9a735dc0be5516552a45e2dc5f345", 9251)
+
 BROKEN_SOURCE = """\
 vars    = [x, y]
 weights = [1, 1]
@@ -154,6 +170,32 @@ class TestTextCommands:
         code, out, _ = run(capsys, ["decompose", golden_file, "--form", "w1"])
         assert code == EXIT_OK
         assert out == DECOMPOSE_W1_TEXT
+
+    def test_quadric_class_witness_json_is_frozen(self, capsys, tmp_path):
+        path = tmp_path / "quadric.fib"
+        path.write_text(QUADRIC_SOURCE)
+        code, out, _ = run(capsys, ["class", str(path), "--form", QUADRIC_FORM,
+                                    "--point", "2/3, -1", "--witness", "--json"])
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        assert obj["result"]["lambda"] == ["1/10", "56/45", "2/15", "-1/15",
+                                           "1/2", "0", "0"]
+        assert len(obj["witness"]["omega"]) == 47
+        data = out.encode("utf-8")
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == QUADRIC_CLASS_STDOUT
+
+    def test_quadric_decompose_json_is_frozen(self, capsys, tmp_path):
+        path = tmp_path / "quadric.fib"
+        path.write_text(QUADRIC_SOURCE)
+        code, out, _ = run(capsys, ["decompose", str(path), "--form",
+                                    QUADRIC_FORM, "--json"])
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        assert [len(a) for a in obj["result"]["a"]] == [1, 2, 1, 1, 1, 0, 0]
+        assert len(obj["witness"]["omega"]) == 36
+        data = out.encode("utf-8")
+        assert (hashlib.sha256(data).hexdigest(),
+                len(data)) == QUADRIC_DECOMPOSE_STDOUT
 
     def test_decompose_higher_degree_form(self, capsys, golden_file):
         code, out, _ = run(capsys, ["decompose", golden_file,
@@ -284,11 +326,19 @@ class TestGuardsAndErrors:
          EXIT_PARSE, f"malformed witness payload: bad rational '{EXPONENT}'"),
         ("verify-class", _set_in(["result", "lambda", 0], EXPONENT),
          EXIT_PARSE, f"malformed witness payload: bad rational '{EXPONENT}'"),
+        ("class", ["--form", "d[x]", "--point", LONG + ",0"],
+         EXIT_PARSE, "integer literal of 5001 digits is too long in point"),
+        ("verify", _set_in(["form", 0, 2], LONG), EXIT_PARSE,
+         "malformed witness payload: integer literal of 5001 digits is too long"),
+        ("verify-class", _set_in(["result", "lambda", 0], "-1/" + LONG), EXIT_PARSE,
+         "malformed witness payload: integer literal of 5001 digits is too long"),
     ], ids=["superscript-in-form", "superscript-weight", "zero-form-component",
             "negative-exponent-in-a", "index-list-in-a", "fractional-exponent",
             "infinite-coefficient", "problem-not-a-string", "long-integer-in-form",
             "long-integer-in-map", "long-weight", "long-integer-in-witness",
-            "exponent-in-point", "exponent-in-coefficient", "exponent-in-lambda"])
+            "exponent-in-point", "exponent-in-coefficient", "exponent-in-lambda",
+            "long-rational-in-point", "long-rational-in-coefficient",
+            "long-rational-in-lambda"])
     def test_malformed_input_exits_cleanly(self, capsys, tmp_path, golden_file,
                                            command, edit, code, message):
         if command == "check":
@@ -311,6 +361,14 @@ class TestGuardsAndErrors:
         got, out, err = run(capsys, argv)
         assert (got, out) == (code, "")
         assert message in err
+
+
+    def test_long_point_coordinate_is_not_echoed(self, capsys, golden_file):
+        code, out, err = run(capsys, ["class", golden_file, "--form", "d[x]",
+                                      "--point", LONG + ",0"])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == ("parse error: integer literal of 5001 digits is too "
+                       "long in point\n")
 
 
 class TestJsonOutput:

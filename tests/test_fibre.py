@@ -533,8 +533,11 @@ class TestVerifyVanishing:
         assert report["all_exact"]
         assert report["closed_dimension"] == report["exact_dimension"]
 
-    @pytest.mark.parametrize("name, ncols", [("sphere_map", 47),
-                                             ("line_map", 27)])
+    # d(m) for the 35 and 15 monomials m of degree <= 4 other than 1 (the d
+    # block leaves out d(1) = 0), then (f - y) * the 12 monomial 1-forms of
+    # degree <= 4 - deg f
+    @pytest.mark.parametrize("name, ncols", [("sphere_map", 46),
+                                             ("line_map", 26)])
     def test_exactness_columns_are_closed_on_fibre(self, request, name, ncols):
         # E lies in K: the rank comparison in verify_vanishing rests on this
         F = request.getfixturevalue(name)

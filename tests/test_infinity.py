@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
@@ -31,7 +32,7 @@ from fibera import (
     wedge,
 )
 from fibera import cli, gradedlin, infinity, parse
-from fibera.gradedlin import ExactLinearSolver
+from fibera.gradedlin import ColumnGroup, CombinationSolver, ExactLinearSolver
 from conftest import make_random_form, make_random_poly, variables
 import oracles
 
@@ -107,6 +108,18 @@ class TestPolyMapConstruction:
         assert pt == (Fraction(1), Fraction(1, 2))
         with pytest.raises(ValueError):
             golden_map.point([1])
+
+    def test_point_reads_strings_as_rationals(self, golden_map):
+        # Fraction('1e10000000') alone takes seconds
+        assert golden_map.point(["-3/4", "2"]) == (Fraction(-3, 4), 2)
+        start = time.perf_counter()
+        for text in ("1e1000000", "1e10000000", "1.5"):
+            with pytest.raises(ValueError, match="^bad rational"):
+                golden_map.point([text, "0"])
+        with pytest.raises(parse.ParseError,
+                           match="^integer literal of 5001 digits is too long$"):
+            golden_map.point(["1" * 5001, "0"])
+        assert time.perf_counter() - start < 1
 
     def test_jacobian_minors_match_sympy(self, golden_map):
         sympy = pytest.importorskip("sympy")
@@ -703,6 +716,89 @@ class TestSolverAccessor:
 
     def test_basis_holds_no_solvers(self, golden_basis):
         assert not hasattr(golden_basis, "_class_solvers")
+
+
+def _quadric_c4():
+    a, b, c, e = variables(4)
+    return PolyMap([a * c + b * e, a ** 2 + b ** 2 - c ** 2 + e ** 2],
+                   (1, 1, 1, 1))
+
+
+def _full_d_group(F, k, r, at_most=False):
+    """The d block of exactness_groups(k, r) with no column left out."""
+    keys, cols = oracles.full_d_block(F.n, k - 1, F.weights, r, at_most)
+    return ColumnGroup(F.n, k - 1, [{m: 1} for m in keys], cols)
+
+
+class TestDBlockRule:
+    """exactness_groups builds d(x^e dx_S) only when x^e has a positive
+    exponent after max S.  The columns it keeps are exactly the pivot
+    columns of the full d block over Q, so no rank, pivot or witness
+    changes."""
+
+    # n, weights, largest degree r; every k and every r up to it
+    CASES = [(2, (1, 1), 7), (2, (3, 2), 9), (3, (1, 1, 1), 5),
+             (3, (1, 2, 3), 7), (4, (1, 1, 1, 1), 5), (4, (2, 1, 1, 3), 6)]
+
+    @pytest.mark.parametrize("n, weights, top", CASES + [(5, (1,) * 5, 3)])
+    def test_kept_columns_are_the_exact_pivots(self, n, weights, top):
+        x = variables(n)
+        F = PolyMap([x[0] * x[-1] + x[1]], weights)
+        y = F.point([Fraction(-2, 3)])
+        for k in range(1, n + 1):
+            for r in range(top + 1):
+                for pt in (None, y):
+                    keys, cols = oracles.full_d_block(n, k - 1, weights, r,
+                                                      at_most=pt is not None)
+                    kept = [next(iter(b))
+                            for b in F.exactness_groups(k, r, pt)[0].basis]
+                    pivots = ExactLinearSolver(cols).pivots
+                    assert kept == [keys[j] for j in pivots], (k, r, pt)
+
+    @pytest.mark.parametrize("make, k, degrees", [(_fermat_c4, 3, (4, 5, 6)),
+                                                  (_quadric_c4, 2, (3, 4))],
+                             ids=["fermat-c4", "quadric-c4"])
+    def test_solver_matches_the_full_d_block(self, make, k, degrees):
+        F = make()
+        B = infinity_basis(F)
+        rng = random.Random(97)
+        for r in degrees:
+            lead = [f for f, d in zip(B.forms, B.degrees) if d == r]
+            coords = [kform_coordinates(f) for f in lead]
+            full = CombinationSolver([ColumnGroup(F.n, k, coords, coords),
+                                      _full_d_group(F, k, r)]
+                                     + F.exactness_groups(k, r)[1:])
+            cached = F.solver(k, r, lead=lead)
+            assert len(cached.groups[1].basis) < len(full.groups[1].basis)
+            space = monomial_basis(F.n, k, F.weights, r)
+            for _ in range(4):
+                f = KForm.zero(F.n, k)
+                for m in space:
+                    f = f + rng.randint(-3, 3) * m
+                got, want = cached.solve(f), full.solve(f)
+                assert want is not None
+                assert got[0].coefficients == want[0].coefficients
+                assert [g.combination for g in got] == [g.combination
+                                                       for g in want]
+
+    def test_bounded_solver_matches_the_full_d_block(self):
+        F = _quadric_c4()
+        y = F.point([Fraction(2, 3), -1])
+        rng = random.Random(101)
+        full = CombinationSolver([_full_d_group(F, 2, 3, at_most=True)]
+                                 + F.exactness_groups(2, 3, y)[1:])
+        cached = F.solver(2, 3, y)
+        for _ in range(4):
+            # exact on the fibre: d of a 1-form plus (f_1 - y_1) * 2-form
+            f = (exterior_derivative(make_random_form(rng, 4, 1, F.weights, 3))
+                 + (F.components[0] - y[0])
+                 * make_random_form(rng, 4, 2, F.weights, 1))
+            got, want = cached.solve(f), full.solve(f)
+            assert want is not None
+            assert [g.combination for g in got] == [g.combination for g in want]
+        # a generic 2-form is not exact, by either solver
+        f = make_random_form(rng, 4, 2, F.weights, 3, density=1.0)
+        assert cached.solve(f) is None and full.solve(f) is None
 
 
 def _reference_forms():

@@ -16,6 +16,7 @@ from fibera import (
     parse_problem,
     poly_str,
 )
+from fibera.parse import parse_rational
 from conftest import make_random_form, make_random_poly, variables
 
 NAMES3 = ["x", "y", "z"]
@@ -214,6 +215,16 @@ class TestProblemFiles:
             parse_problem('vars=[x,y]\nweights=[1,1]\nmap=["x^2+y^2"]\n'
                           'point.a = "1/0"')
         assert str(exc.value) == "line 4, column 12: bad rational '1/0' in point"
+
+    def test_long_rational_gives_its_digit_count(self):
+        # int() alone would raise Python's own message, which names
+        # sys.set_int_max_str_digits
+        for text in ("1" * 5001, "-" + "1" * 5001, "3/" + "1" * 5001):
+            with pytest.raises(ParseError) as exc:
+                parse_rational(text)
+            assert str(exc.value) == "integer literal of 5001 digits is too long"
+        assert parse_rational("-" + "1" * 4300) == -int("1" * 4300)
+        assert parse_rational("+6/4") == Fraction(3, 2)
 
     def test_unknown_key(self):
         with pytest.raises(ParseError, match="unknown key"):
