@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 mathematical precondition failure (including a
 negative CIA verdict from check), 2 parse or input error, 3 internal error
 (a failed internal consistency check, reported without a traceback).
 --json emits a self-contained object (problem text included) that
-`verify` accepts.
+`verify` accepts.  A value of --form, --point or --poly may start with
+"-": `--point -5/3` reads like `--point=-5/3`.
 """
 
 from __future__ import annotations
@@ -381,9 +382,30 @@ def build_parser():
     return parser
 
 
+# Options whose value may start with one "-" (a negative point coordinate,
+# a negated form), which argparse would take for an option of its own.
+_DASH_VALUE_OPTIONS = ("--form", "--point", "--poly")
+
+
+def _join_dash_values(argv):
+    """argv with each `OPT -VALUE` as `OPT=-VALUE`, where OPT is one of
+    _DASH_VALUE_OPTIONS or an abbreviation of one; a following `--name`
+    stays an option."""
+    out = []
+    for a in argv:
+        opt = out[-1] if out else ""
+        if (a.startswith("-") and not a.startswith("--") and len(opt) > 2
+                and any(o.startswith(opt) for o in _DASH_VALUE_OPTIONS)):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_dash_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParseError as exc:

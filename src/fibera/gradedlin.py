@@ -22,10 +22,10 @@ same integer columns modulo one fixed prime p with sparse pivot dicts
 instead: no exact elimination, and no witness.  Its pivot columns are
 independent over Q as well (they have a minor that is nonzero mod p), but
 a rank mod p can fall below the rank over Q, so a caller certifies the
-result: infinity_basis by full-rank pieces and mu kept forms,
-verify_vanishing by closed and exact ranks that sum to the space
-dimension.  When the certificate fails, the caller takes the exact
-profile instead: the solver's pivots and rank.
+result: infinity_basis by d-images that span d(Omega^k_r), of dimension
+d_rank, and mu kept forms, verify_vanishing by closed and exact ranks
+that sum to the space dimension.  When the certificate fails, the caller
+takes the exact profile instead: the solver's pivots and rank.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from .polyform import KForm, Polynomial, _eadd, _merge_indices
 
 __all__ = [
     "weighted_exponents", "monomial_keys", "monomial_basis",
-    "kform_coordinates", "coordinates_kform", "d_column", "wedge_column",
-    "pivot_columns_mod_p", "ExactLinearSolver", "ColumnGroup", "wedge_group",
-    "operator_columns", "GroupWitness", "CombinationSolver",
+    "kform_coordinates", "coordinates_kform", "d_column", "d_image", "d_rank",
+    "wedge_column", "pivot_columns_mod_p", "ExactLinearSolver", "ColumnGroup",
+    "wedge_group", "operator_columns", "GroupWitness", "CombinationSolver",
 ]
 
 
@@ -111,13 +111,49 @@ def coordinates_kform(n, k, coords):
 
 
 def d_column(S, e):
-    """Coordinates of d(x^e dx_S): e_i at (S with i, e - 1_i), signed."""
+    """Coordinates of d(x^e dx_S): e_i at (S with i, e - 1_i), negated when
+    an odd number j of indices of S lie below i."""
     out = {}
+    j = 0
     for i, a in enumerate(e):
-        if a and i not in S:
-            sign, M = _merge_indices((i,), S)
-            out[(M, e[:i] + (a - 1,) + e[i + 1:])] = sign * a
+        if j < len(S) and S[j] == i:
+            j += 1
+        elif a:
+            out[(S[:j] + (i,) + S[j:], e[:i] + (a - 1,) + e[i + 1:])] = (
+                -a if j & 1 else a)
     return out
+
+
+def d_image(coords):
+    """Coordinates of d of the form with coordinates {(S, e): coefficient}."""
+    out = {}
+    for (S, e), c in coords.items():
+        for key, a in d_column(S, e).items():
+            v = out.get(key, 0) + c * a
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return out
+
+
+def d_rank(weights, k, degree):
+    """dim d(Omega^k) in weighted degree degree > 0, from monomial counts.
+
+    The polynomial de Rham complex is exact in positive degree, so
+    0 -> Omega^0 -> ... -> Omega^k -> d(Omega^k) -> 0 is exact there and
+    the dimension is sum over i <= k of (-1)^(k-i) dim Omega^i.
+    """
+    counts = [1] + [0] * degree  # counts[m]: exponents of weighted degree m
+    for p in weights:
+        for m in range(p, degree + 1):
+            counts[m] += counts[m - p]
+    total = 0
+    for i in range(k + 1):
+        dim = sum(counts[degree - t]
+                  for t in map(sum, combinations(weights, i)) if t <= degree)
+        total = dim - total
+    return total
 
 
 def wedge_column(G, S, e):
@@ -138,6 +174,15 @@ def _scale(col):
         if v.denominator != 1:
             s = lcm(s, v.denominator)
     return s
+
+
+def _primitive(col):
+    """A nonzero column cleared to integers by _scale and divided by their
+    gcd: the primitive integer multiple, with the same span."""
+    s = _scale(col)
+    ints = {key: c.numerator * (s // c.denominator) for key, c in col.items()}
+    g = gcd(*ints.values())
+    return {key: c // g for key, c in ints.items()}
 
 
 # The prime of every rank profile.
@@ -168,9 +213,7 @@ def pivot_columns_mod_p(columns, p):
         if not v and any(col.values()):
             # every cleared entry is a multiple of p: the column divided by
             # the gcd of its entries has the same span and a unit residue
-            ints = {key: c.numerator * (s // c.denominator) for key, c in col.items()}
-            g = gcd(*ints.values())
-            v = {key: c // g % p for key, c in ints.items() if c // g % p}
+            v = {key: c % p for key, c in _primitive(col).items() if c % p}
         todo = [key for key in v if key in pivots]
         heapify(todo)
         while todo:

@@ -216,19 +216,18 @@ def quotient_vector_basis(basis):
     """Monomials outside the leading-term ideal, for a finite quotient.
 
     Returns exponent tuples sorted increasingly in the basis order; raises
-    if the quotient is not a finite-dimensional vector space.
+    if the quotient is not a finite-dimensional vector space, which is
+    when some variable has no pure power among the leading monomials.
     """
     if basis.is_unit():
         return []
-    if ideal_dimension(basis) > 0:
-        raise ValueError("quotient is infinite-dimensional")
     n = basis.n
     leads = basis.leading_exponents()
     caps = []
     for i in range(n):
         pure = [e[i] for e in leads if all(a == 0 for j, a in enumerate(e) if j != i)]
         if not pure:
-            raise RuntimeError("internal: zero-dimensional staircase lacks a pure power")
+            raise ValueError("quotient is infinite-dimensional")
         caps.append(min(pure))
     out = [e for e in product(*map(range, caps))
            if not any(_divides(l, e) for l in leads)]

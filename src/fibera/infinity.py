@@ -25,13 +25,14 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
-from .polyform import (KForm, Polynomial, euler_contraction,
+from .polyform import (KForm, Polynomial, _eadd, _wdeg, euler_contraction,
                        exterior_derivative, validate_weights, wedge)
 from .groebner import (MonomialOrder, buchberger, elimination_order,
                        ideal_dimension, quotient_vector_basis)
 from .parse import parse_rational
 from .gradedlin import (_PRIME, ColumnGroup, CombinationSolver,
-                        ExactLinearSolver, d_column, kform_coordinates,
+                        ExactLinearSolver, _primitive, coordinates_kform,
+                        d_column, d_image, d_rank, kform_coordinates,
                         monomial_basis, monomial_keys, pivot_columns_mod_p,
                         wedge_group)
 
@@ -200,15 +201,16 @@ class CompleteIntersectionCheck(namedtuple(
 
 def is_complete_intersection_at_infinity(F):
     """Decide dim V(I+J) < n - q; the empty variety (dimension -1) passes."""
-    dim_sing = ideal_dimension(F.singular_gb)
+    dim_sing = singular_dimension(F)
     dim_fib = ideal_dimension(F.infinity_gb)
     return CompleteIntersectionCheck(dim_sing < F.n - F.q, dim_fib, dim_sing,
                                      F.n - F.q)
 
 
 def singular_dimension(F):
-    """Dimension of V(I+J); -1 when empty."""
-    return ideal_dimension(F.singular_gb)
+    """Dimension of V(I+J); -1 when empty.  Kept in the map's cache."""
+    return F._cached(("singular_dimension",),
+                     lambda: ideal_dimension(F.singular_gb))
 
 
 def _require_isolated(F):
@@ -217,10 +219,17 @@ def _require_isolated(F):
         raise PreconditionError("non-isolated singularity at infinity")
 
 
+def _standard_monomials(F):
+    """Exponents of the standard monomials of Q[x]/(I+J), kept in the map's
+    cache; raises unless the singularity at infinity is isolated."""
+    _require_isolated(F)
+    return F._cached(("standard_monomials",),
+                     lambda: quotient_vector_basis(F.singular_gb))
+
+
 def milnor_number(F):
     """dim_Q Q[x]/(I+J) for an isolated singularity at infinity (0 if empty)."""
-    _require_isolated(F)
-    return len(quotient_vector_basis(F.singular_gb))
+    return len(_standard_monomials(F))
 
 
 def koszul_kernel_generators(F):
@@ -292,53 +301,68 @@ def infinity_basis(F):
     """Greedy basis from candidates (standard monomial) * (kernel generator).
 
     Candidates are sorted by weighted degree, ties in enumeration order; a
-    candidate is kept when it is not in (exact at infinity) + span(kept).
-    Each degree r is one pass: the columns of exactness_groups(k, r), then
-    the degree-r candidates, reduced modulo a prime p; the candidates that
-    are pivot columns are kept.
+    candidate is kept when it is not in E_r + span(kept), with E_r the
+    degree-r forms exact at infinity.  Every candidate degree r is
+    positive, and there the weighted Poincare lemma (omega = d(i_X omega)/r
+    for closed omega) gives ker d = d(Omega^(k-1)), which lies in E_r.  So
+    v is in E_r + span(S) exactly when dv is in d(E_r) + span(dS), and
+    d(E_r) is spanned by the d(fbar_i x^e dx_S).  Each degree r is one
+    pass: those columns, then the d-images of the degree-r candidates,
+    reduced modulo a prime p in the (k+1)-forms; the candidates that are
+    pivot columns are kept.
 
     The kept forms are certified without exact elimination by two checks:
-    (a) in every candidate degree r the pivots span the whole k-form piece
-    mod p, and since rank over Q is at least rank mod p, E_r + span(kept_r)
-    is that whole piece over Q, so |kept_r| >= h_r, the dimension of the
-    cohomology at infinity in degree r; (b) the kept forms number mu.  Two
-    facts close the argument: the candidates span the cohomology (so h_r
-    is 0 outside the candidate degrees), and its dimension is mu, the
-    paper's dim H^(n-q)(F^-1(infinity)) = mu.  Then sum h_r = mu forces
-    |kept_r| = h_r in every degree, so the kept forms are a basis.  When a
-    check fails, the exact pivot columns pick the candidates instead: they
-    are the greedy basis by definition.
+    (a) in every candidate degree r the pivots span d(Omega^k_r) mod p (its
+    dimension is d_rank, a count of monomials), and since rank over Q is at
+    least rank mod p, E_r + span(kept_r) is the whole k-form piece over Q,
+    so |kept_r| >= h_r, the dimension of the cohomology at infinity in
+    degree r; (b) the kept forms number mu.  Two facts close the argument:
+    the candidates span the cohomology (so h_r is 0 outside the candidate
+    degrees), and its dimension is mu, the paper's dim H^(n-q)(F^-1(infinity))
+    = mu.  Then sum h_r = mu forces |kept_r| = h_r in every degree, so the
+    kept forms are a basis.  When a check fails, the exact pivot columns of
+    the same d-images pick the candidates instead: they are the greedy
+    basis by definition.
     """
-    _require_isolated(F)
-    std = quotient_vector_basis(F.singular_gb)
+    std = _standard_monomials(F)
     mu = len(std)
-    kernel_gens = koszul_kernel_generators(F)
+    n, w = F.n, F.weights
+    # the kernel generators as integer coordinate dicts; a candidate is
+    # one shifted by x^e, and only the kept ones become forms
+    gens = [(g.weighted_degree(w), {key: int(c) for key, c in
+                                    kform_coordinates(g).items()})
+            for g in koszul_kernel_generators(F)]
     by_degree = {}
     for e in std:
-        P = Polynomial.monomial(F.n, e)
-        for g in kernel_gens:
-            c = P * g
-            by_degree.setdefault(c.weighted_degree(F.weights), []).append(c)
+        for r, g in gens:
+            by_degree.setdefault(_wdeg(e, w) + r, []).append(
+                {(S, _eadd(e, m)): c for (S, m), c in g.items()})
     kept = _kept(F, by_degree, lambda cols: pivot_columns_mod_p(cols, _PRIME))
     if kept is None or len(kept) != mu:
         kept = _kept(F, by_degree, lambda cols: ExactLinearSolver(cols).pivots)
         if kept is None or len(kept) != mu:
             raise RuntimeError("internal: exact basis size differs from mu")
-    return InfinityBasis([c for _, c in kept], [r for r, _ in kept], mu)
+    return InfinityBasis([coordinates_kform(n, n - F.q, c) for _, c in kept],
+                         [r for r, _ in kept], mu)
 
 
 def _kept(F, by_degree, profile):
     """(degree, candidate) pairs among profile(columns), the pivot columns
-    of each degree's exactness columns followed by its candidates, or None
-    when some degree's pivots miss part of its k-form piece."""
-    k = F.n - F.q
+    of each degree's d(fbar_i x^e dx_S) followed by its candidates'
+    d-images, or None when some degree's pivots miss part of d(Omega^k_r)."""
+    n, k, w = F.n, F.n - F.q, F.weights
+    # each fbar_i as its primitive integer multiple: scaling a column
+    # changes no pivot
+    tops = [(d, _primitive(g.terms))
+            for d, g in zip(F.degrees, F.top_components)]
     kept = []
     for r, cands in sorted(by_degree.items()):
-        cols = [img for g in F.exactness_groups(k, r) for img in g.images]
+        cols = [d_image({(S, _eadd(e, u)): c for u, c in g.items()})
+                for d, g in tops for S, e in monomial_keys(n, k, w, r - d)]
         m = len(cols)
-        cols.extend(kform_coordinates(c) for c in cands)
+        cols.extend(d_image(c) for c in cands)
         pivots = profile(cols)
-        if len(pivots) != len(monomial_keys(F.n, k, F.weights, r)):
+        if len(pivots) != d_rank(w, k, r):
             return None
         kept.extend((r, cands[j - m]) for j in pivots if j >= m)
     return kept

@@ -232,6 +232,65 @@ class TestTextCommands:
         assert "polynomial, not a form" in err
 
 
+class TestDashValues:
+    """A value of --form, --point or --poly may start with "-"; the output
+    equals that of the --opt=value spelling."""
+
+    @pytest.mark.parametrize("argv", [
+        ["class", "{f}", "--form", "x*d[y]", "--point", "-5/3,1"],
+        ["class", "{f}", "--form", "-z*d[x] + x*d[z]", "--point", "-1, 2",
+         "--witness", "--json"],
+        ["class", "{f}", "--point", "-2", "--form", "-x*d[y]"],
+        ["decompose", "{f}", "--form", "-y*z*d[x] + x*z*d[y]"],
+        ["subalgebra", "{f}", "--poly", "-x*z + 3"],
+        ["subalgebra", "{f}", "--poly", "-x"],
+        ["class", "{f}", "--fo", "-x*d[y]", "--poi", "-5/3,1"],
+    ], ids=["point", "form-and-point-json", "short-point", "decompose",
+            "member", "nonmember", "abbreviated"])
+    def test_dash_value_equals_the_joined_spelling(self, capsys, golden_file,
+                                                   argv):
+        argv = [golden_file if a == "{f}" else a for a in argv]
+        joined = []
+        for a in argv:
+            if joined and joined[-1] in ("--form", "--point", "--poly",
+                                         "--fo", "--poi"):
+                joined[-1] += "=" + a
+            else:
+                joined.append(a)
+        assert joined != argv
+        assert run(capsys, argv) == run(capsys, joined)
+
+    def test_negative_point_coordinate(self, capsys, golden_file):
+        code, out, _ = run(capsys, ["class", golden_file, "--form", "w1",
+                                    "--point", "-5/3,1"])
+        assert code == EXIT_OK
+        assert out == "lambda = (0, -1, 0, 0, 0)\n"
+
+    def test_arity_error_still_names_the_point(self, capsys, golden_file):
+        code, _, err = run(capsys, ["class", golden_file, "--form", "d[x]",
+                                    "--point", "-2"])
+        assert code == EXIT_PARSE
+        assert "point has 1 coordinates, expected 2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["class", "{f}", "--form", "--json", "--point", "p"],
+        ["class", "{f}", "--form", "w1", "--", "-x"],
+    ], ids=["option-after-option", "end-of-options"])
+    def test_a_double_dash_stays_an_option(self, capsys, golden_file, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([golden_file if a == "{f}" else a for a in argv])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+
+    def test_dash_value_from_the_command_line(self, golden_file):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibera.cli", "class", golden_file,
+             "--form", "-x*d[y]", "--point", "-5/3,1"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("lambda = (")
+
+
 class TestGuardsAndErrors:
     def test_degree_bound_exceeded(self, capsys, golden_file):
         code, _, err = run(capsys, ["class", golden_file,

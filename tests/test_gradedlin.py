@@ -19,8 +19,9 @@ from fibera import (
     wedge,
     weighted_exponents,
 )
-from fibera.gradedlin import (d_column, monomial_keys, operator_columns,
-                              pivot_columns_mod_p, wedge_column, wedge_group)
+from fibera.gradedlin import (d_column, d_image, d_rank, monomial_keys,
+                              operator_columns, pivot_columns_mod_p,
+                              wedge_column, wedge_group)
 from conftest import make_random_form, variables
 import oracles
 
@@ -331,6 +332,42 @@ class TestColumnBuilders:
         for k, r in [(0, 5), (1, 4)]:
             group = wedge_group(G, k, r, w)
             assert (group.k, group.basis, group.images) == (0, [], [])
+
+
+    def test_d_image_is_the_exterior_derivative(self):
+        rng = random.Random(83)
+        for n, w in [(2, (1, 1)), (3, (1, 2, 3)), (4, (2, 1, 1, 3))]:
+            for k in range(n + 1):
+                for _ in range(4):
+                    f = make_random_form(rng, n, k, w, 4)
+                    assert d_image(kform_coordinates(f)) == kform_coordinates(
+                        exterior_derivative(f))
+        # integer coordinates give integer images; cancelling terms vanish
+        image = d_image({((1,), (1, 0)): 3, ((0,), (0, 1)): 2})
+        assert image == {((0, 1), (0, 0)): 1}
+        assert all(type(v) is int for v in image.values())
+        assert d_image({((0,), (0, 1)): 1, ((1,), (1, 0)): 1}) == {}
+
+
+class TestDRank:
+    """d_rank counts dim d(Omega^k_r) from monomial counts alone."""
+
+    # n, weights: non-uniform weights on up to five variables, one repeat
+    CASES = [(1, (2,)), (2, (1, 1)), (2, (3, 2)), (3, (1, 2, 3)),
+             (4, (2, 1, 1, 3)), (5, (1, 2, 2, 3, 1))]
+
+    @pytest.mark.parametrize("n, weights", CASES)
+    def test_matches_the_exact_rank_of_the_d_columns(self, n, weights):
+        for k in range(n):
+            for r in range(1, 9):
+                cols = [d_column(*m) for m in monomial_keys(n, k, weights, r)]
+                assert d_rank(weights, k, r) == ExactLinearSolver(cols).rank, (
+                    k, r)
+
+    def test_top_forms_are_closed(self):
+        # d of an n-form is zero: the alternating count cancels
+        for r in range(1, 9):
+            assert d_rank((1, 2, 3), 3, r) == 0
 
 
 class TestCombinationSolver:

@@ -212,6 +212,24 @@ class TestMilnorNumber:
         with pytest.raises(PreconditionError):
             milnor_number(quartic_map)
 
+    def test_singular_data_is_computed_once_per_map(self, monkeypatch):
+        # the CIA check, milnor_number and infinity_basis read dim V(I+J)
+        # and the standard monomials from the map's cache
+        F = _fermat_c4()
+        dims, stds = [], []
+        real_dim = infinity.ideal_dimension
+        real_std = infinity.quotient_vector_basis
+        monkeypatch.setattr(infinity, "ideal_dimension",
+                            lambda gb: dims.append(gb) or real_dim(gb))
+        monkeypatch.setattr(infinity, "quotient_vector_basis",
+                            lambda gb: stds.append(gb) or real_std(gb))
+        for _ in range(2):
+            assert is_complete_intersection_at_infinity(F)
+            assert singular_dimension(F) == 0
+            assert milnor_number(F) == infinity_basis(F).mu == 16
+        assert [gb for gb in dims if gb is F.singular_gb] == [F.singular_gb]
+        assert stds == [F.singular_gb]
+
     def test_golden_quotient_basis(self, golden_map):
         # {1, x, y, z, x^2} represents a basis of the quotient
         std = quotient_vector_basis(golden_map.singular_gb)
@@ -433,6 +451,12 @@ class TestInfinityBasis:
                 groups.extend(F.exactness_groups(1, r))
                 assert CombinationSolver(groups).solve(cand) is not None
 
+    def test_basis_builds_no_exactness_groups(self):
+        # candidates are ranked after d, so no d block is built or reduced
+        F = _fermat_c4()
+        assert infinity_basis(F).mu == 16
+        assert [key for key in F._cache if key[0] == "groups"] == []
+
     def test_empty_basis_for_milnor_zero(self, line_map):
         B = infinity_basis(line_map)
         assert B.mu == 0 and len(B) == 0
@@ -592,7 +616,8 @@ class TestModularCertificate:
             if len(calls) == 1 and short_in_degree_2:
                 return pivots[:-1]
             if len(calls) == 2:
-                # the last 9 columns are the degree-3 candidates
+                # the last 9 columns are the d-images of the degree-3
+                # candidates, after the d(fbar_i x^e dx_S)
                 extra = next(j for j in range(len(columns) - 9, len(columns))
                              if j not in pivots)
                 return sorted(pivots[1:] + [extra])
