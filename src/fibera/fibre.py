@@ -302,15 +302,34 @@ def verify_vanishing(F, k, y, degree_bound):
 
 def _closedness_columns(F, k, y, bound):
     """Per monomial k-form m of degree <= bound, in key order, the coordinates
-    of d(m) ^ df_1 ^ ... ^ df_q with coefficients in normal form over y."""
+    of d(m) ^ df_1 ^ ... ^ df_q with coefficients in normal form over y.
+
+    The normal form is linear, so each column is sum c * image(S, e) over the
+    d-terms c x^e dx_S of d(m), where image(S, e) is the normal form of
+    x^e dx_S ^ df_1 ^ ... ^ df_q: computed once per key and call."""
     gb = F.fibre_gb(y)
+    images = {}
+
+    def image(S, e):
+        img = images.get((S, e))
+        if img is None:
+            z = {}
+            for (T, x), v in wedge_column(F.jac_form, S, e).items():
+                z.setdefault(T, {})[x] = v
+            img = images[S, e] = {
+                (T, x): v for T, P in z.items()
+                for x, v in gb.normal_form(Polynomial(F.n, P)).terms.items()}
+        return img
+
     cols = []
     for m in monomial_keys(F.n, k, F.weights, bound, at_most=True):
-        z = {}
+        col = {}
         for (S, e), c in d_column(*m).items():
-            for (T, x), v in wedge_column(F.jac_form, S, e).items():
-                P = z.setdefault(T, {})
-                P[x] = P.get(x, 0) + c * v
-        cols.append({(T, x): v for T, P in z.items()
-                     for x, v in gb.normal_form(Polynomial(F.n, P)).terms.items()})
+            for key, v in image(S, e).items():
+                v = col.get(key, 0) + c * v
+                if v:
+                    col[key] = v
+                else:
+                    del col[key]
+        cols.append(col)
     return cols

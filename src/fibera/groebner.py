@@ -15,7 +15,7 @@ which the callers rely on for reproducibility.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 
 from .polyform import Polynomial, _eadd
@@ -46,6 +46,15 @@ class MonomialOrder:
             parts.append(tuple(-e[i] for i in reversed(block)))
         return tuple(parts)
 
+    def _heap_key(self, e):
+        """key(e) with every entry negated, flattened: the smallest heap key
+        is the largest monomial."""
+        parts = []
+        for block in self.blocks:
+            parts.append(-sum(e[i] * self.weights[i] for i in block))
+            parts.extend(e[i] for i in reversed(block))
+        return tuple(parts)
+
     def leading(self, terms):
         """(exponent, coefficient) of the largest monomial of a term dict."""
         e = max(terms, key=self.key)
@@ -64,29 +73,48 @@ def _esub(a, b):
 
 
 def _subtract(terms, ratio, q, gterms):
-    """terms -= ratio * x^q * gterms, in place, dropping zero coefficients."""
+    """terms -= ratio * x^q * gterms, in place, dropping zero coefficients.
+
+    Returns the exponents that were not in terms before."""
+    added = []
     for me, mc in gterms.items():
         ne = _eadd(me, q)
-        v = terms.get(ne, 0) - ratio * mc
-        if v:
-            terms[ne] = v
+        old = terms.get(ne)
+        if old is None:
+            terms[ne] = -ratio * mc
+            added.append(ne)
         else:
-            terms.pop(ne, None)
+            v = old - ratio * mc
+            if v:
+                terms[ne] = v
+            else:
+                del terms[ne]
+    return added
 
 
 def _reduce(terms, gens_data, order):
     """Full normal form of a term dict against (lead_exp, lead_coeff, terms) data.
 
-    Mutates and consumes `terms`; returns the remainder dict.
+    The pending terms wait in a heap, largest monomial first; each exponent's
+    key is computed once, when it enters.  An exponent cancelled to zero
+    stays in the heap and is skipped when it surfaces: every exponent that
+    a step adds lies below the one it reduces, so an exponent once taken
+    never comes back.  Mutates and consumes `terms`; returns the remainder
+    dict, in decreasing order.
     """
     rem = {}
-    key = order.key
-    while terms:
-        e = max(terms, key=key)
-        c = terms[e]
+    down = order._heap_key
+    heap = [(down(e), e) for e in terms]
+    heapify(heap)
+    while heap:
+        e = heappop(heap)[1]
+        c = terms.get(e)
+        if c is None:
+            continue
         for ge, gc, gterms in gens_data:
             if _divides(ge, e):
-                _subtract(terms, c / gc, _esub(e, ge), gterms)
+                for ne in _subtract(terms, c / gc, _esub(e, ge), gterms):
+                    heappush(heap, (down(ne), ne))
                 break
         else:
             rem[e] = terms.pop(e)
@@ -120,7 +148,9 @@ class GroebnerBasis:
         return [e for e, _, _ in self._data]
 
     def normal_form(self, P):
-        """Unique remainder of P modulo the basis."""
+        """Unique remainder of P modulo the basis, whose ring P must share."""
+        if P.n != self.n:
+            raise ValueError(f"polynomial in {P.n} variables, basis ring has {self.n}")
         return Polynomial(self.n, _reduce(dict(P.terms), self._data, self.order))
 
     def contains(self, P):

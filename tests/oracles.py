@@ -225,6 +225,33 @@ def reduce_full(terms, gens, weights):
     return out
 
 
+def max_scan_reduce(terms, gens_data, key):
+    """Reference normal form loop, a copy of the one fibera's heap-ordered
+    reduction replaced: each step scans for the largest pending term under
+    key and reduces it by the first (lead_exp, lead_coeff, terms) entry
+    whose lead divides it.  Mutates and consumes terms; returns the
+    remainder dict in the order its terms were found."""
+    rem = {}
+    while terms:
+        e = max(terms, key=key)
+        c = terms[e]
+        for ge, gc, gterms in gens_data:
+            if _divides(ge, e):
+                ratio = c / gc
+                shift = tuple(a - b for a, b in zip(e, ge))
+                for me, mc in gterms.items():
+                    ne = tuple(a + b for a, b in zip(me, shift))
+                    v = terms.get(ne, 0) - ratio * mc
+                    if v:
+                        terms[ne] = v
+                    else:
+                        terms.pop(ne, None)
+                break
+        else:
+            rem[e] = terms.pop(e)
+    return rem
+
+
 def s_polynomial(f, g, weights):
     lf = leading_exponent(f, weights)
     lg = leading_exponent(g, weights)

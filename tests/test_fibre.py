@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import signal
 from copy import deepcopy
 from fractions import Fraction
 from types import SimpleNamespace
@@ -29,7 +30,7 @@ from fibera import (
     verify_vanishing,
     wedge,
 )
-from fibera import fibre, gradedlin, infinity
+from fibera import fibre, gradedlin, groebner, infinity
 from fibera.gradedlin import (ExactLinearSolver, coordinates_kform,
                               monomial_basis)
 from conftest import make_random_form, make_random_poly, variables
@@ -62,6 +63,10 @@ def _closedness_columns(F, k, y, bound):
         cols.append({(S, e): c for S, P in z.coeffs.items()
                      for e, c in gb.normal_form(P).terms.items()})
     return basis, cols
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("no answer within the alarm")
 
 
 def _vanishing_by_kernel_solves(F, k, y, bound, basis, cols):
@@ -512,6 +517,29 @@ class TestSubalgebraMembership:
         got = is_in_subalgebra(c, golden_map)
         assert got == Fraction(7, 3)
 
+    @pytest.mark.parametrize("n, make", [
+        # the lead of x*z, padded to 6 entries, never cancels against the
+        # 5-variable graph basis: the reduction used to loop
+        (4, lambda a, b, c, e: a * c),
+        (4, lambda a, b, c, e: a ** 2 + e),
+        # one variable short: used to fail with an IndexError
+        (2, lambda a, b: a),
+    ])
+    def test_ring_mismatch_raises_at_once(self, golden_map, n, make):
+        R = make(*variables(n))
+        gb = golden_map.graph_gb()
+        previous = signal.signal(signal.SIGALRM, _timed_out)
+        signal.alarm(5)
+        try:
+            for check in (lambda: is_in_subalgebra(R, golden_map),
+                          lambda: gb.normal_form(R.pad(2)),
+                          lambda: gb.contains(R)):
+                with pytest.raises(ValueError, match="variables"):
+                    check()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
 
 class TestVerifyVanishing:
     def test_line_map_all_closed_forms_exact(self, line_map):
@@ -569,18 +597,39 @@ class TestVerifyVanishing:
         a, b, c, e = variables(4)
         quadric = PolyMap([a * c + b * e, a ** 2 + b ** 2 - c ** 2 + e ** 2],
                           (1, 1, 1, 1))
-        cases = [(sphere_map, [0]), (sphere_map, [Fraction(7, 3)]),
-                 (golden_map, [0, 0]), (golden_map, [1, 2]),
-                 (quadric, [Fraction(-3, 2), 2])]
+        x, y, z = variables(3)
+        weighted = PolyMap([x ** 6 + y ** 3 + z ** 2], (1, 2, 3))
+        cases = [(sphere_map, [0], 5), (sphere_map, [Fraction(7, 3)], 5),
+                 (golden_map, [0, 0], 5), (golden_map, [1, 2], 5),
+                 (quadric, [Fraction(-3, 2), 2], 5),
+                 (weighted, [Fraction(-7, 3)], 9)]
         nonzero = 0
-        for F, y in cases:
+        for F, y, bounds in cases:
             y = F.point(y)
             for k in range(F.n + 1):
-                for bound in range(5):
+                for bound in range(bounds):
                     _, cols = _closedness_columns(F, k, y, bound)
                     assert fibre._closedness_columns(F, k, y, bound) == cols
                     nonzero += sum(map(bool, cols))
         assert nonzero > 600
+
+    def test_closedness_columns_one_normal_form_per_key(self, sphere_map,
+                                                        monkeypatch):
+        # the 60 monomial 1-forms of degree <= 4 have d-terms over 30
+        # distinct keys (S, e), and each key's image is normal-formed once
+        F = PolyMap(sphere_map.components, sphere_map.weights)
+        y = F.point([Fraction(-7, 3)])
+        F.fibre_gb(y)
+        keys = {key for m in gradedlin.monomial_keys(3, 1, F.weights, 4,
+                                                     at_most=True)
+                for key in gradedlin.d_column(*m)}
+        assert len(keys) == 30
+        calls = []
+        normal_form = groebner.GroebnerBasis.normal_form
+        monkeypatch.setattr(groebner.GroebnerBasis, "normal_form",
+                            lambda gb, P: calls.append(P) or normal_form(gb, P))
+        cols = fibre._closedness_columns(F, 1, y, 4)
+        assert len(cols) == 60 and 0 < len(calls) <= len(keys)
 
     # the sphere at bound 4 has 60 monomial 1-forms, 45 of them closed;
     # an empty mod-p profile sends both ranks to exact elimination, and the

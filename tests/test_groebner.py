@@ -8,6 +8,7 @@ import pytest
 
 from fibera import (
     MonomialOrder,
+    PolyMap,
     Polynomial,
     buchberger,
     elimination_ideal,
@@ -15,6 +16,7 @@ from fibera import (
     ideal_dimension,
     quotient_vector_basis,
 )
+from fibera import groebner
 from conftest import make_random_poly, variables
 import oracles
 
@@ -179,7 +181,6 @@ def _monic(gb):
 class TestSympyOracle:
     # with unit weights fibera's order is graded reverse lex
     def test_singular_ideals_of_ladder_maps(self):
-        from fibera import PolyMap
         x, y, z = variables(3)
         a, b, c, e = variables(4)
         maps = [PolyMap([x ** 3 * y + y ** 3 * z + z ** 3 * x + x * y], (1, 1, 1)),
@@ -282,6 +283,84 @@ class TestNormalForm:
         x, y = variables(2)
         gb = buchberger([x * y], MonomialOrder((1, 1)))
         assert gb.normal_form(x * y + x) == x
+
+
+def _random_order(rng, n):
+    """Weights other than all ones; half the time an elimination order of
+    a random proper subset of the variables."""
+    w = tuple(rng.randint(1, 3) for _ in range(n - 1)) + (rng.randint(2, 3),)
+    if rng.random() < 0.5:
+        return MonomialOrder(w)
+    return elimination_order(w, rng.sample(range(n), rng.randint(1, n - 1)))
+
+
+def _as_lists(gb):
+    """Generators as term lists: values and term order both compared."""
+    return [list(g.terms.items()) for g in gb]
+
+
+def _use_max_scan(monkeypatch):
+    monkeypatch.setattr(groebner, "_reduce", lambda terms, data, order:
+                        oracles.max_scan_reduce(terms, data, order.key))
+
+
+class TestReferenceReduction:
+    """The heap-ordered reduction against the max-scan loop it replaced
+    (oracles.max_scan_reduce): same remainders, in the same term order,
+    and the same reduced bases, under weighted and block orders."""
+
+    def test_remainders_match_max_scan(self):
+        rng = random.Random(39)
+        moved = 0
+        for trial in range(24):
+            n = rng.choice([2, 3, 4])
+            order = _random_order(rng, n)
+            w = order.weights
+            gens = [make_random_poly(rng, n, w, rng.randint(2, 4), density=0.5)
+                    for _ in range(rng.randint(1, 3))]
+            gb = buchberger([g for g in gens if not g.is_zero()], order)
+            data = [(*order.leading(g.terms), g.terms) for g in gb]
+            for _ in range(4):
+                p = make_random_poly(rng, n, w, 7)
+                want = oracles.max_scan_reduce(dict(p.terms), data, order.key)
+                assert list(gb.normal_form(p).terms.items()) == list(want.items())
+                moved += want != p.terms
+        assert moved >= 40
+
+    def test_bases_match_max_scan(self, monkeypatch):
+        x, y, z = variables(3)
+        a, b, c, e = variables(4)
+        maps = [([a ** 3 + b ** 3 + c ** 3 + e ** 3], (1, 1, 1, 1)),
+                ([a * c + b * e, a ** 2 + b ** 2 - c ** 2 + e ** 2], (1, 1, 1, 1)),
+                ([x ** 3 * y + y ** 3 * z + z ** 3 * x + x * y], (1, 1, 1)),
+                ([x * z, x ** 2 + y ** 2 - z ** 2], (1, 1, 1)),
+                ([x ** 6 + y ** 3 + z ** 2], (1, 2, 3))]
+        points = [Fraction(-7, 3), Fraction(5, 2), 0]
+
+        def bases(components, weights):
+            F = PolyMap(components, weights)
+            out = [F.infinity_gb, F.singular_gb, F.graph_gb()]
+            return [_as_lists(g)
+                    for g in out + [F.fibre_gb([p] * F.q) for p in points]]
+
+        heap = [bases(*m) for m in maps]
+        _use_max_scan(monkeypatch)
+        assert heap == [bases(*m) for m in maps]
+        assert sum(len(g) for bs in heap for g in bs) >= 70
+
+    def test_random_bases_match_max_scan(self, monkeypatch):
+        rng = random.Random(40)
+        cases = []
+        for trial in range(24):
+            # two generators in three variables: seldom the unit ideal
+            order = _random_order(rng, 3)
+            gens = [make_random_poly(rng, 3, order.weights, rng.randint(3, 4),
+                                     density=0.4) for _ in range(2)]
+            cases.append(([g for g in gens if not g.is_zero()], order))
+        heap = [_as_lists(buchberger(gens, order)) for gens, order in cases]
+        _use_max_scan(monkeypatch)
+        assert heap == [_as_lists(buchberger(gens, order)) for gens, order in cases]
+        assert sum(len(g) > 2 for g in heap) >= 6
 
 
 class TestDimensionAndQuotient:
