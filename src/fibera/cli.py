@@ -11,9 +11,10 @@
 Exit codes: 0 success, 1 mathematical precondition failure (including a
 negative CIA verdict from check), 2 parse or input error, 3 internal error
 (a failed internal consistency check, reported without a traceback).
---json emits a self-contained object (problem text included) that
-`verify` accepts.  A value of --form, --point or --poly may start with
-"-": `--point -5/3` reads like `--point=-5/3`.
+With --json a problem command emits one self-contained object (problem
+text included) in place of its text; `verify` accepts the objects of
+`class --witness` and `decompose`.  A value of --form, --point or --poly
+may start with "-": `--point -5/3` reads like `--point=-5/3`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import argparse
 import re
 import sys
 
-from .polyform import KForm, Polynomial
+from .polyform import KForm
+from .gradedlin import coordinates_kform, kform_coordinates
 from .infinity import (PolyMap, PreconditionError, infinity_basis,
                        is_complete_intersection_at_infinity, milnor_number)
 from .fibre import (FibreClass, RelativeDecomposition, fibre_class,
@@ -52,14 +54,6 @@ def _read(path):
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
 
 
-def _load_problem(path):
-    return parse_problem(_read(path))
-
-
-def _build_map(problem):
-    return PolyMap(problem.map_components, problem.weights)
-
-
 def _resolve_form(spec, problem):
     if spec in problem.forms:
         return problem.forms[spec]
@@ -72,8 +66,10 @@ def _resolve_point(spec, problem):
     return parse_point(spec, problem.q)
 
 
-def _t_names(q):
-    return ["t"] if q == 1 else [f"t_{i + 1}" for i in range(q)]
+def _t_str(a, F):
+    """a(t) printed in t (t_1, ..., t_q when q > 1), weighted by deg f_i."""
+    names = ["t"] if F.q == 1 else [f"t_{i + 1}" for i in range(F.q)]
+    return poly_str(a, names, tuple(F.degrees))
 
 
 def _guard_degree_bound(form, weights, bound):
@@ -88,12 +84,8 @@ def _guard_degree_bound(form, weights, bound):
 # ---------------------------------------------------------------- JSON codecs
 
 def form_to_json(f):
-    out = []
-    for S in sorted(f.coeffs):
-        P = f.coeffs[S]
-        for e in sorted(P.terms):
-            out.append([list(e), list(S), str(P.terms[e])])
-    return out
+    coords = kform_coordinates(f)
+    return [[list(e), list(S), str(coords[S, e])] for S, e in sorted(coords)]
 
 
 def poly_to_json(P):
@@ -101,20 +93,31 @@ def poly_to_json(P):
 
 
 def form_from_json(data, n):
-    by_s = {}
+    coords = {}
     k = 0
     for e, S, c in data:
         if not all(type(a) is int and a >= 0 for a in [*e, *S]):
             raise ValueError(f"exponents and indices must be nonnegative "
                              f"integers, got {e!r} and {S!r}")
-        S = tuple(S)
         k = len(S)
-        by_s.setdefault(S, {})[tuple(e)] = parse_rational(c)
-    return KForm(n, k, {S: Polynomial(n, t) for S, t in by_s.items()})
+        coords[tuple(S), tuple(e)] = parse_rational(c)
+    return coordinates_kform(n, k, coords)
 
 
 def poly_from_json(data, n):
     return form_from_json(data, n).as_polynomial()
+
+
+def _witness(w, problem):
+    """The JSON object and the text lines of the witness omega, eta of a
+    fibre class or a relative decomposition."""
+    names, weights = problem.var_names, problem.weights
+    obj = {"omega": form_to_json(w.omega),
+           "eta": [form_to_json(e) for e in w.eta]}
+    lines = [f"Omega = {form_str(w.omega, names, weights)}"]
+    lines += [f"eta_{i} = {form_str(e, names, weights)}"
+              for i, e in enumerate(w.eta, start=1)]
+    return obj, lines
 
 
 def _long_integer_at(raw):
@@ -128,159 +131,106 @@ def _long_integer_at(raw):
     return None, None
 
 
-def _emit_json(obj):
-    import json
-    print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _json_skeleton(command, problem):
-    return {
-        "command": command,
-        "input_hash": _input_hash(problem.source),
-        "problem": problem.source,
-        "result": {},
-        "witness": None,
-    }
-
-
 # ------------------------------------------------------------------- commands
+#
+# A problem command takes the parsed arguments and problem file and returns
+# its exit code, the JSON keys it owns and its text lines; _run prints one
+# or the other.
 
-def cmd_check(args):
-    problem = _load_problem(args.file)
-    F = _build_map(problem)
+def _run(command, args):
+    problem = parse_problem(_read(args.file))
+    code, keys, lines = command(args, problem)
+    if args.json:
+        import json
+        obj = {"command": args.command, "input_hash": _input_hash(problem.source),
+               "problem": problem.source, "witness": None, **keys}
+        lines = [json.dumps(obj, indent=2, sort_keys=True)]
+    print(*lines, sep="\n")
+    return code
+
+
+def cmd_check(args, problem):
+    F = PolyMap(problem.map_components, problem.weights)
     verdict = is_complete_intersection_at_infinity(F)
-    if args.json:
-        obj = _json_skeleton("check", problem)
-        obj["result"] = {
-            "cia": verdict.is_cia,
-            "dim_fibre_at_infinity": verdict.dim_fibre,
-            "dim_singular_at_infinity": verdict.dim_singular,
-            "n": F.n,
-            "q": F.q,
-        }
-        _emit_json(obj)
-    else:
-        if verdict.is_cia:
-            print("complete intersection at infinity")
-        else:
-            print("not a complete intersection at infinity")
-        print(f"dim V(I) = {verdict.dim_fibre}")
-        print(f"dim V(I+J) = {verdict.dim_singular}")
-    return EXIT_OK if verdict.is_cia else EXIT_MATH
+    result = {
+        "cia": verdict.is_cia,
+        "dim_fibre_at_infinity": verdict.dim_fibre,
+        "dim_singular_at_infinity": verdict.dim_singular,
+        "n": F.n,
+        "q": F.q,
+    }
+    lines = [("complete intersection at infinity" if verdict.is_cia
+              else "not a complete intersection at infinity"),
+             f"dim V(I) = {verdict.dim_fibre}",
+             f"dim V(I+J) = {verdict.dim_singular}"]
+    return EXIT_OK if verdict.is_cia else EXIT_MATH, {"result": result}, lines
 
 
-def cmd_milnor(args):
-    problem = _load_problem(args.file)
-    F = _build_map(problem)
-    mu = milnor_number(F)
-    if args.json:
-        obj = _json_skeleton("milnor", problem)
-        obj["result"] = {"mu": mu}
-        _emit_json(obj)
-    else:
-        print(f"mu = {mu}")
-    return EXIT_OK
+def cmd_milnor(args, problem):
+    mu = milnor_number(PolyMap(problem.map_components, problem.weights))
+    return EXIT_OK, {"result": {"mu": mu}}, [f"mu = {mu}"]
 
 
-def cmd_basis(args):
-    problem = _load_problem(args.file)
-    F = _build_map(problem)
-    B = infinity_basis(F)
-    if args.json:
-        obj = _json_skeleton("basis", problem)
-        obj["result"] = {
-            "mu": B.mu,
-            "degrees": B.degrees,
-            "forms": [form_to_json(b) for b in B.forms],
-        }
-        _emit_json(obj)
-    else:
-        print(f"mu = {B.mu}")
-        for i, (b, d) in enumerate(zip(B.forms, B.degrees), start=1):
-            print(f"omega_{i} (degree {d}) = "
-                  f"{form_str(b, problem.var_names, problem.weights)}")
-    return EXIT_OK
+def cmd_basis(args, problem):
+    B = infinity_basis(PolyMap(problem.map_components, problem.weights))
+    result = {
+        "mu": B.mu,
+        "degrees": B.degrees,
+        "forms": [form_to_json(b) for b in B.forms],
+    }
+    lines = [f"mu = {B.mu}"]
+    lines += [f"omega_{i} (degree {d}) = "
+              f"{form_str(b, problem.var_names, problem.weights)}"
+              for i, (b, d) in enumerate(zip(B.forms, B.degrees), start=1)]
+    return EXIT_OK, {"result": result}, lines
 
 
-def cmd_class(args):
-    problem = _load_problem(args.file)
+def cmd_class(args, problem):
     form = _resolve_form(args.form, problem)
     point = _resolve_point(args.point, problem)
     _guard_degree_bound(form, problem.weights, args.degree_bound)
-    F = _build_map(problem)
-    B = infinity_basis(F)
-    fc = fibre_class(form, F, point, B)
-    if args.json:
-        obj = _json_skeleton("class", problem)
-        obj["form"] = form_to_json(form)
-        obj["point"] = [str(c) for c in point]
-        obj["result"] = {"lambda": [str(c) for c in fc.coefficients]}
-        if args.witness:
-            obj["witness"] = {
-                "omega": form_to_json(fc.omega),
-                "eta": [form_to_json(e) for e in fc.eta],
-            }
-        _emit_json(obj)
-    else:
-        print("lambda = (" + ", ".join(str(c) for c in fc.coefficients) + ")")
-        if args.witness:
-            names, w = problem.var_names, problem.weights
-            print(f"Omega = {form_str(fc.omega, names, w)}")
-            for i, e in enumerate(fc.eta, start=1):
-                print(f"eta_{i} = {form_str(e, names, w)}")
-    return EXIT_OK
+    F = PolyMap(problem.map_components, problem.weights)
+    fc = fibre_class(form, F, point, infinity_basis(F))
+    lam = [str(c) for c in fc.coefficients]
+    keys = {"form": form_to_json(form), "point": [str(c) for c in point],
+            "result": {"lambda": lam}}
+    lines = ["lambda = (" + ", ".join(lam) + ")"]
+    if args.witness:
+        keys["witness"], witness_lines = _witness(fc, problem)
+        lines += witness_lines
+    return EXIT_OK, keys, lines
 
 
-def cmd_decompose(args):
-    problem = _load_problem(args.file)
+def cmd_decompose(args, problem):
     form = _resolve_form(args.form, problem)
     _guard_degree_bound(form, problem.weights, args.degree_bound)
-    F = _build_map(problem)
+    F = PolyMap(problem.map_components, problem.weights)
     B = infinity_basis(F)
     dec = relative_decompose(form, F, B)
     if not verify_decomposition(form, dec, F, B):
         raise RuntimeError("internal: decomposition failed self-verification")
-    if args.json:
-        obj = _json_skeleton("decompose", problem)
-        obj["form"] = form_to_json(form)
-        obj["result"] = {"a": [poly_to_json(a) for a in dec.coeff_polys]}
-        obj["witness"] = {
-            "omega": form_to_json(dec.omega),
-            "eta": [form_to_json(e) for e in dec.eta],
-        }
-        _emit_json(obj)
-    else:
-        names, w = problem.var_names, problem.weights
-        tnames = _t_names(F.q)
-        tweights = tuple(F.degrees)
-        for i, a in enumerate(dec.coeff_polys, start=1):
-            print(f"a_{i}(t) = {poly_str(a, tnames, tweights)}")
-        print(f"Omega = {form_str(dec.omega, names, w)}")
-        for i, e in enumerate(dec.eta, start=1):
-            print(f"eta_{i} = {form_str(e, names, w)}")
-        r = form.weighted_degree(w)
-        print(f"verified: identity and degree bounds hold (deg omega = {r})")
-    return EXIT_OK
+    witness, witness_lines = _witness(dec, problem)
+    keys = {"form": form_to_json(form),
+            "result": {"a": [poly_to_json(a) for a in dec.coeff_polys]},
+            "witness": witness}
+    r = form.weighted_degree(problem.weights)
+    lines = [f"a_{i}(t) = {_t_str(a, F)}"
+             for i, a in enumerate(dec.coeff_polys, start=1)]
+    lines += witness_lines
+    lines.append(f"verified: identity and degree bounds hold (deg omega = {r})")
+    return EXIT_OK, keys, lines
 
 
-def cmd_subalgebra(args):
-    problem = _load_problem(args.file)
+def cmd_subalgebra(args, problem):
     P = form_to_polynomial(_resolve_form(args.poly, problem))
-    F = _build_map(problem)
+    F = PolyMap(problem.map_components, problem.weights)
     A = is_in_subalgebra(P, F)
-    if args.json:
-        obj = _json_skeleton("subalgebra", problem)
-        obj["result"] = {
-            "in_subalgebra": A is not None,
-            "a": poly_to_json(A) if A is not None else None,
-        }
-        _emit_json(obj)
-    else:
-        if A is None:
-            print("not in C[F]")
-        else:
-            print(f"A(t) = {poly_str(A, _t_names(F.q), tuple(F.degrees))}")
-    return EXIT_OK
+    result = {
+        "in_subalgebra": A is not None,
+        "a": poly_to_json(A) if A is not None else None,
+    }
+    line = "not in C[F]" if A is None else f"A(t) = {_t_str(A, F)}"
+    return EXIT_OK, {"result": result}, [line]
 
 
 def cmd_verify(args):
@@ -317,21 +267,21 @@ def cmd_verify(args):
         return fail("input_hash mismatch")
     problem = parse_problem(problem_text)
     n = problem.n
-    F = _build_map(problem)
+    F = PolyMap(problem.map_components, problem.weights)
     B = infinity_basis(F)
     try:
         omega = form_from_json(data["form"], n)
+        # read in the order form, point, lambda or a, omega, eta: of several
+        # faults, the first in that order is the one reported
         if command == "class":
-            point = tuple(parse_rational(c) for c in data["point"])
-            payload = FibreClass(point,
-                                 [parse_rational(c) for c in result["lambda"]],
-                                 form_from_json(witness["omega"], n),
-                                 [form_from_json(e, n) for e in witness["eta"]])
+            record = FibreClass
+            fields = (tuple(parse_rational(c) for c in data["point"]),
+                      [parse_rational(c) for c in result["lambda"]])
         else:
-            payload = RelativeDecomposition(
-                [poly_from_json(a, F.q) for a in result["a"]],
-                form_from_json(witness["omega"], n),
-                [form_from_json(e, n) for e in witness["eta"]])
+            record = RelativeDecomposition
+            fields = ([poly_from_json(a, F.q) for a in result["a"]],)
+        payload = record(*fields, form_from_json(witness["omega"], n),
+                         [form_from_json(e, n) for e in witness["eta"]])
         ok = verify_decomposition(omega, payload, F, B)
     except (KeyError, TypeError, ValueError, ZeroDivisionError,
             OverflowError) as exc:
@@ -354,7 +304,7 @@ def build_parser():
         p = sub.add_parser(name, **kwargs)
         p.add_argument("file", help="problem file")
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.set_defaults(func=func)
+        p.set_defaults(func=lambda args: _run(func, args))
         return p
 
     add("check", cmd_check, help="complete-intersection-at-infinity verdict")

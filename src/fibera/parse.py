@@ -64,10 +64,13 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 def parse_rational(value):
     """Fraction of a string [+-]?digits[/digits] in ASCII digits, the form
     fibera prints; a value that is not a string (a JSON number) goes to
-    Fraction as it is.  Fraction alone would also read exponent notation,
-    and Fraction('1e10000000') takes seconds.  Raises ValueError (a
+    Fraction as it is, except a bool (a JSON true or false), which is no
+    number.  Fraction alone would also read exponent notation, and
+    Fraction('1e10000000') takes seconds.  Raises ValueError (a
     ParseError, which gives the digit count and not the digits, for an
     integer longer than int() converts) or ZeroDivisionError."""
+    if isinstance(value, bool):
+        raise ValueError(f"bad rational {value!r}")
     if not isinstance(value, str):
         return Fraction(value)
     if not _RATIONAL.fullmatch(value):

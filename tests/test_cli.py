@@ -391,13 +391,21 @@ class TestGuardsAndErrors:
          "malformed witness payload: integer literal of 5001 digits is too long"),
         ("verify-class", _set_in(["result", "lambda", 0], "-1/" + LONG), EXIT_PARSE,
          "malformed witness payload: integer literal of 5001 digits is too long"),
+        # JSON true and false would read as 1 and 0, the values they replace
+        ("verify-class", _set_in(["point"], [True, False]),
+         EXIT_PARSE, "malformed witness payload: bad rational True"),
+        ("verify-class", _set_in(["result", "lambda", 0], False),
+         EXIT_PARSE, "malformed witness payload: bad rational False"),
+        ("verify", _set_in(["form", 0, 2], True),
+         EXIT_PARSE, "malformed witness payload: bad rational True"),
     ], ids=["superscript-in-form", "superscript-weight", "zero-form-component",
             "negative-exponent-in-a", "index-list-in-a", "fractional-exponent",
             "infinite-coefficient", "problem-not-a-string", "long-integer-in-form",
             "long-integer-in-map", "long-weight", "long-integer-in-witness",
             "exponent-in-point", "exponent-in-coefficient", "exponent-in-lambda",
             "long-rational-in-point", "long-rational-in-coefficient",
-            "long-rational-in-lambda"])
+            "long-rational-in-lambda", "boolean-point", "boolean-lambda",
+            "boolean-coefficient"])
     def test_malformed_input_exits_cleanly(self, capsys, tmp_path, golden_file,
                                            command, edit, code, message):
         if command == "check":
@@ -687,6 +695,166 @@ class TestScaledGoldenMap:
         path.write_text(out)
         assert run(capsys, ["verify", str(path)]) == (
             EXIT_OK, "verification: PASS\n", "")
+
+
+NON_ISOLATED_SOURCE = """\
+vars    = [x, y, z]
+weights = [1, 1, 1]
+map     = ["x*y"]
+"""
+GOLDEN_FORM = "x*y^2*d[z] + z^3*d[x] - 2*x*d[y] + y*d[x]"
+FILE = "FILE"
+
+
+def _frozen_cases():
+    """{case id: (problem text, argv with FILE for the problem path)}; a
+    verify case holds the argv that emits its witness."""
+    cases = {}
+    for tag, source, form, point, poly in [
+            ("golden", GOLDEN_SOURCE, GOLDEN_FORM, "2,-1/3", "x^2*z^2 + 1"),
+            ("quadric", QUADRIC_SOURCE, QUADRIC_FORM, "1,-2", "a*b")]:
+        for name, argv in [
+                ("check", ["check", FILE]), ("milnor", ["milnor", FILE]),
+                ("basis", ["basis", FILE]),
+                ("class", ["class", FILE, "--form", form, "--point", point]),
+                ("class-witness", ["class", FILE, "--form", form,
+                                   "--point", point, "--witness"]),
+                ("decompose", ["decompose", FILE, "--form", form]),
+                ("subalgebra", ["subalgebra", FILE, "--poly", poly])]:
+            cases[f"{tag}-{name}"] = (source, argv)
+            cases[f"{tag}-{name}-json"] = (source, [*argv, "--json"])
+    cases["non-isolated-milnor"] = (NON_ISOLATED_SOURCE, ["milnor", FILE])
+    cases["non-isolated-basis"] = (NON_ISOLATED_SOURCE, ["basis", FILE])
+    cases["parse-error"] = (BROKEN_SOURCE, ["check", FILE])
+    cases["verify-pass"] = cases["verify-fail"] = (
+        GOLDEN_SOURCE, ["decompose", FILE, "--form", GOLDEN_FORM, "--json"])
+    return cases
+
+
+# sha256 and length of stdout, stderr and exit code of each case
+FROZEN_BYTES = {
+    "golden-basis": (
+        "c18bce04e35776a994ab5d297240c1b244eb05b2cb483397260141fc7175b3d5",
+        205, "", 0),
+    "golden-basis-json": (
+        "191be98c8af57046a39c54757b4ef137088092fdde0d88341f082f602f557488",
+        1939, "", 0),
+    "golden-check": (
+        "cda5cecfb6e906d303545ebf473937513b08c7ac692cb3bc891a1f46c64671f8",
+        62, "", 0),
+    "golden-check-json": (
+        "d701f86ad29e116dccde4ff0caf596acec848b8fd38ff570747a732c34dec2a2",
+        430, "", 0),
+    "golden-class": (
+        "55840e493b3917bbae811b64fe2f79e04eba6a240f536fad140cce9486d0074f",
+        31, "", 0),
+    "golden-class-json": (
+        "7c92c395301b73b2c62e00c9a086e6c53d4604e9a81ae264a5b542466c8f602f",
+        856, "", 0),
+    "golden-class-witness": (
+        "86d357148197fe5b480f53c2c6e9b9491cd5501fd0fbc66013f78a9228a9d08c",
+        123, "", 0),
+    "golden-class-witness-json": (
+        "c855bc13b15e6649b07a7a808a71e8d09a85e989d99ef7704f71687f76a505e6",
+        1865, "", 0),
+    "golden-decompose": (
+        "dcd71b03042c9b0d26f7575a1f7bf69f5d6c4843ef88cd97b394a1195cf06cd6",
+        204, "", 0),
+    "golden-decompose-json": (
+        "ecbea23fcae316694b2d958ad76706700168226a1ea9200b7203ad707c3da2f8",
+        1768, "", 0),
+    "golden-milnor": (
+        "596e57dec5468228d9030e69dced1e9fe95b60a928b5718eb4ce74322d60e0c1",
+        7, "", 0),
+    "golden-milnor-json": (
+        "a25e844ff81ae6e9d484628a3b2bdc588974d958d2b0332018d221c89feaaa13",
+        336, "", 0),
+    "golden-subalgebra": (
+        "8cd3ffeb2e20c6fa035e2170fb6e8bccb8b1a2ae8b7e6858a41bda37d258c10e",
+        17, "", 0),
+    "golden-subalgebra-json": (
+        "73689353ad54d55216b2edaa1346a966ecd0457983e740a41971969c99124c46",
+        545, "", 0),
+    "non-isolated-basis": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0, "error: non-isolated singularity at infinity\n", 1),
+    "non-isolated-milnor": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0, "error: non-isolated singularity at infinity\n", 1),
+    "parse-error": (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0, "parse error: line 3, column 15: unknown variable 'q'\n", 2),
+    "quadric-basis": (
+        "32843c128b0074de4d6a217ee64cf4266a356204882947f5e241d74ee0a3db08",
+        389, "", 0),
+    "quadric-basis-json": (
+        "6a68db796c88fbddd15202a98b020435b0554cedcd8395847fbc9ccf7bb651a7",
+        4137, "", 0),
+    "quadric-check": (
+        "2e35b57bfc436a932bc56dd326ce4f0291d20541423d53dc144a0eac471bfccf",
+        62, "", 0),
+    "quadric-check-json": (
+        "aac6222bb49af1c2e33e5556d5dcc0ca4a6a1ce3ddfd44300915dfbf91167bf7",
+        373, "", 0),
+    "quadric-class": (
+        "a93c6ec0681c329388d0a36ca7799e4499797d03bfbce3c44db9a3fa05d6daa2",
+        43, "", 0),
+    "quadric-class-json": (
+        "efbde8cb2892a63b972320ce20009c1e67719ec72ab6dd8adcc8c3a96c27009d",
+        913, "", 0),
+    "quadric-class-witness": (
+        "9a6a3fc8c496a7acfef89c3b68d73ea413792915a40bbe06a64b9781c91b0995",
+        877, "", 0),
+    "quadric-class-witness-json": (
+        "2844e9333ca9a16bf6d71fa052f535bc4b6c6be5f077c92eb0f7de1384d14c7b",
+        10581, "", 0),
+    "quadric-decompose": (
+        "e888de3c7bf40db6767f600f185b8deb8c855a88b0a8555411d9a41cb85fd71c",
+        897, "", 0),
+    "quadric-decompose-json": (
+        "ba0a616077e34ca10e9461656e1cea157cd9a735dc0be5516552a45e2dc5f345",
+        9251, "", 0),
+    "quadric-milnor": (
+        "776e68644ed3cb4515ae7b56235c735dade5664f5d1db55eae3946d9da6a7c77",
+        7, "", 0),
+    "quadric-milnor-json": (
+        "e7f8d78e3cd13529d016732035b3aba7221d47b45ec70f0eb50964a45292d8f6",
+        279, "", 0),
+    "quadric-subalgebra": (
+        "ea54076a118e7a57882702e310c821f1ecda4215c995e3dbd10ea8b7f23f1354",
+        12, "", 0),
+    "quadric-subalgebra-json": (
+        "f980818b0184163bf9c5f7ebda92be539a537c69bce8805287a16cd7c93b0a24",
+        313, "", 0),
+    "verify-fail": (
+        "9c29c37bf1f3ff713e60c3e3be3ac3f9a10853295ecc12c08beab19ba2917af5",
+        59, "", 1),
+    "verify-pass": (
+        "c47d2823302d27bbd78db63d74acf7dfafab892ba967ac9c575ae13d2ced18bb",
+        19, "", 0),
+}
+
+
+class TestFrozenBytes:
+    @pytest.mark.parametrize("case", sorted(FROZEN_BYTES))
+    def test_output_is_frozen(self, capsys, tmp_path, case):
+        source, argv = _frozen_cases()[case]
+        path = tmp_path / "problem.fib"
+        path.write_text(source)
+        argv = [str(path) if a == FILE else a for a in argv]
+        if case.startswith("verify"):
+            code, out, _ = run(capsys, argv)
+            assert code == EXIT_OK
+            obj = json.loads(out)
+            if case == "verify-fail":
+                obj["result"]["a"][0] = [[[0, 0], [], "7"]]
+            path = tmp_path / "witness.json"
+            path.write_text(json.dumps(obj))
+            argv = ["verify", str(path)]
+        code, out, err = run(capsys, argv)
+        data = out.encode("utf-8")
+        assert (hashlib.sha256(data).hexdigest(), len(data), err, code) == \
+            FROZEN_BYTES[case]
 
 
 class TestModuleEntryPoint:

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used there, and
-every name it defines at module level is used somewhere."""
+"""Source hygiene: every name a library module imports is used there,
+every name it defines at module level is used somewhere, and every private
+one is used in the library itself."""
 from __future__ import annotations
 
 import ast
@@ -97,6 +98,30 @@ def test_dead_name_scan_flags_an_unused_name(tmp_path):
                     "helper = None\n")
     assert _dead_names([mod], [mod, user]) == [("mod", "Alias"), ("mod", "Unused"),
                                                ("mod", "helper")]
+
+
+def _unused_private_names(modules):
+    """The names of _dead_names that are private (one leading underscore),
+    counting uses in the given modules alone."""
+    return [dead for dead in _dead_names(modules, modules)
+            if dead[1].startswith("_")]
+
+
+def test_library_private_names_are_used_in_the_library():
+    # a helper the library no longer calls is dead even when a test calls it
+    assert _unused_private_names(sorted(SRC.glob("*.py"))) == []
+
+
+def test_private_name_scan_flags_a_name_only_a_test_uses(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("__version__ = '1'\n_LIMIT = 3\n"
+                   "def _helper():\n    return _LIMIT\n"
+                   "def _tested():\n    pass\n"
+                   "def public():\n    return _helper()\n")
+    user = tmp_path / "test_mod.py"
+    user.write_text("import mod\nmod._tested()\nmod.public()\n")
+    assert _dead_names([mod], [mod, user]) == []
+    assert _unused_private_names([mod]) == [("mod", "_tested")]
 
 
 def test_traced_entry_points_resolve():
