@@ -27,10 +27,12 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .polyform import KForm, Polynomial, exterior_derivative, wedge
+from .polyform import (KForm, Polynomial, _eadd, _merge_indices,
+                       exterior_derivative, wedge)
+from .groebner import _reduce_mod_p
 from .gradedlin import (_PRIME, CombinationSolver, ExactLinearSolver,
-                        d_column, monomial_keys, pivot_columns_mod_p,
-                        wedge_column, wedge_group)
+                        d_column, d_image, d_rank, monomial_keys,
+                        pivot_columns_mod_p, wedge_group)
 from .infinity import PreconditionError, _require_isolated, singular_dimension
 
 __all__ = [
@@ -260,32 +262,44 @@ def verify_decomposition(omega, result, F, B):
 def verify_vanishing(F, k, y, degree_bound):
     """Check H^k(F^{-1}(y)) = 0 up to a weighted-degree bound.
 
-    Over the monomial k-forms of weighted degree <= degree_bound, the
-    closed-on-fibre condition is linear (via normal forms), with kernel K.
-    The exact space E is spanned by the columns of the bounded exactness
-    solver: d(Omega) and (f_i - y_i) eta_i, all of degree <= degree_bound.
-    Every such form is closed on the fibre, so E lies in K, and vanishing
-    holds exactly when rank E = dim K.  closed_dimension is dim K and
-    exact_dimension is dim E.  Requires dim Sing < n - q - k so the bounded
-    exactness search is exhaustive.
+    Over the N monomial k-forms of weighted degree <= degree_bound, the
+    closed-on-fibre condition is linear (via normal forms), with columns C
+    and kernel K.  The exact space E = d(Omega^(k-1)) + sum (f_i - y_i)
+    Omega^k in degrees <= degree_bound lies in K, so vanishing holds exactly
+    when dim E = dim K (closed_dimension, exact_dimension).  Requires dim
+    Sing < n - q - k so that E holds every bounded exact form.  As k >= 1,
+    the weighted Poincare lemma makes the closed bounded k-forms
+    d(Omega^(k-1)), inside E, so dim E is the sum of d_rank over degrees
+    1..degree_bound plus rank d(E), spanned by d((f_i - y_i) x^e dx_S).
 
-    Both ranks are first taken modulo a prime p, which can only lower
-    them: for the N closedness columns C, one per monomial k-form, dim K =
-    N - rank C <= N - rank_p C and rank_p E <= dim E <= dim K, so rank_p C
-    + rank_p E = N forces equality throughout, and a sum above N is an
-    internal error.  Otherwise two exact eliminations decide.
+    Ranks of residues mod a prime p can only be lower: as dim K = N - rank
+    C <= N - rank_p C and rank_p E <= dim E <= dim K, rank_p C + rank_p E =
+    N forces equality throughout, and a sum above N is an internal error.
+    When p divides a denominator of some f_i - y_i, of the fibre basis or
+    of dF, or the sum falls short, exact eliminations of C and of the
+    exactness columns decide.
     """
     if k < 1:
         raise ValueError("verify_vanishing needs form degree k >= 1")
     if not (singular_dimension(F) < F.n - F.q - k):
         raise PreconditionError(
             "vanishing check requires dim Sing < n - q - k")
-    y = F.point(y)
-    cols = _closedness_columns(F, k, y, degree_bound)
-    exact_cols = [img for g in F.exactness_groups(k, degree_bound, y)
-                  for img in g.images]
-    rc, exact = (len(pivot_columns_mod_p(c, _PRIME)) for c in (cols, exact_cols))
-    if rc + exact < len(cols):
+    y, w, p = F.point(y), F.weights, _PRIME
+    shifted = [_residues(g.terms, p) for g in F._shifted(y)]
+    cols = None if None in shifted else _closedness_columns(F, k, y, degree_bound, p)
+    if cols is not None:
+        rc = len(pivot_columns_mod_p(cols, p))
+        # d of the (f_i - y_i) x^e dx_S from residues; an entry is an exponent
+        # times a nonzero residue, never 0 mod p, so no column is divided by p
+        images = [d_image({(S, _eadd(e, m)): c for m, c in g.items()})
+                  for g, d in zip(shifted, F.degrees)
+                  for S, e in monomial_keys(F.n, k, w, degree_bound - d, True)]
+        exact = sum(d_rank(w, k - 1, r) for r in range(1, degree_bound + 1))
+        exact += len(pivot_columns_mod_p(images, p))
+    if cols is None or rc + exact < len(cols):
+        cols = _closedness_columns(F, k, y, degree_bound)
+        exact_cols = [img for g in F.exactness_groups(k, degree_bound, y)
+                      for img in g.images]
         rc, exact = (ExactLinearSolver(c).rank for c in (cols, exact_cols))
     closed = len(cols) - rc
     if exact > closed:
@@ -300,36 +314,53 @@ def verify_vanishing(F, k, y, degree_bound):
     }
 
 
-def _closedness_columns(F, k, y, bound):
+def _residues(terms, p):
+    """The nonzero {key: c mod p} of a dict of rationals, or None when p
+    divides a denominator."""
+    if all(c.denominator % p for c in terms.values()):
+        return {e: r for e, c in terms.items()
+                if (r := c.numerator * pow(c.denominator, -1, p) % p)}
+
+
+def _closedness_columns(F, k, y, bound, p=None):
     """Per monomial k-form m of degree <= bound, in key order, the coordinates
-    of d(m) ^ df_1 ^ ... ^ df_q with coefficients in normal form over y.
+    of d(m) ^ df_1 ^ ... ^ df_q with coefficients in normal form over y;
+    with a prime p, their residues mod p, or None when p divides a
+    denominator of the fibre basis or of dF.
 
     The normal form is linear, so each column is sum c * image(S, e) over the
     d-terms c x^e dx_S of d(m), where image(S, e) is the normal form of
-    x^e dx_S ^ df_1 ^ ... ^ df_q: computed once per key and call."""
+    x^e dx_S ^ df_1 ^ ... ^ df_q: computed once per key and call.  The basis
+    is monic, so for p-integral data each image mod p is _reduce_mod_p's."""
     gb = F.fibre_gb(y)
-    images = {}
+    jac = [(T, P.terms) for T, P in F.jac_form.coeffs.items()]
+    if p:
+        jac = [(T, _residues(P, p)) for T, P in jac]
+        gens = [(e, _residues({m: c for m, c in g.terms.items() if m != e}, p))
+                for e, g in zip(gb.leading_exponents(), gb.generators)]
+        if None in [t for _, t in jac + gens]:
+            return None
 
     def image(S, e):
-        img = images.get((S, e))
-        if img is None:
-            z = {}
-            for (T, x), v in wedge_column(F.jac_form, S, e).items():
-                z.setdefault(T, {})[x] = v
-            img = images[S, e] = {
-                (T, x): v for T, P in z.items()
-                for x, v in gb.normal_form(Polynomial(F.n, P)).terms.items()}
+        # distinct T give distinct S + T, so each T adds its own keys
+        img = {}
+        for T, P in jac:
+            sign, M = _merge_indices(S, T)
+            if sign:
+                z = {_eadd(e, m): sign * c for m, c in P.items()}
+                nf = (_reduce_mod_p(z, gens, gb.order, p) if p else
+                      gb.normal_form(Polynomial(F.n, z)).terms)
+                img.update(((M, x), v) for x, v in nf.items())
         return img
 
-    cols = []
+    images, cols = {}, []
     for m in monomial_keys(F.n, k, F.weights, bound, at_most=True):
         col = {}
-        for (S, e), c in d_column(*m).items():
-            for key, v in image(S, e).items():
-                v = col.get(key, 0) + c * v
-                if v:
-                    col[key] = v
-                else:
-                    del col[key]
-        cols.append(col)
+        for key, c in d_column(*m).items():
+            if key not in images:
+                images[key] = image(*key)
+            for row, v in images[key].items():
+                col[row] = col.get(row, 0) + c * v
+        cols.append({row: r for row, v in col.items()
+                     if (r := v % p if p else v)})
     return cols

@@ -22,10 +22,10 @@ same integer columns modulo one fixed prime p with sparse pivot dicts
 instead: no exact elimination, and no witness.  Its pivot columns are
 independent over Q as well (they have a minor that is nonzero mod p), but
 a rank mod p can fall below the rank over Q, so a caller certifies the
-result: infinity_basis by d-images that span d(Omega^k_r), of dimension
-d_rank, and mu kept forms, verify_vanishing by closed and exact ranks
-that sum to the space dimension.  When the certificate fails, the caller
-takes the exact profile instead: the solver's pivots and rank.
+result: infinity_basis by d-images spanning d(Omega^k_r), of dimension
+d_rank, and mu kept forms; verify_vanishing by closed and exact ranks, of
+residue columns and of d_rank plus d-images, that sum to the dimension.
+When the certificate fails, the caller takes the solver's exact ranks.
 """
 
 from __future__ import annotations

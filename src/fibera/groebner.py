@@ -121,6 +121,34 @@ def _reduce(terms, gens_data, order):
     return rem
 
 
+def _reduce_mod_p(terms, gens_data, order, p):
+    """_reduce mod the prime p of integer terms against (lead_exp, tail residues)
+    of monic generators.  Each step takes _reduce's exponent and generator, so
+    for p-integral input the remainder is _reduce's mod p.  Consumes `terms`."""
+    rem = {}
+    down = order._heap_key
+    heap = [(down(e), e) for e in terms]
+    heapify(heap)
+    while heap:
+        e = heappop(heap)[1]
+        c = terms.pop(e) % p
+        if not c:
+            continue
+        for ge, tail in gens_data:
+            if _divides(ge, e):
+                q = _esub(e, ge)
+                for me, mc in tail.items():
+                    ne = _eadd(me, q)
+                    old = terms.get(ne)
+                    if old is None:
+                        heappush(heap, (down(ne), ne))
+                    terms[ne] = (old or 0) - c * mc
+                break
+        else:
+            rem[e] = c
+    return rem
+
+
 class GroebnerBasis:
     """A reduced Groebner basis together with its order."""
 

@@ -110,8 +110,8 @@ class PolyMap:
         return hit
 
     def point(self, values):
-        """Coerce a value sequence to a fibre point (tuple of q Fractions);
-        strings are read by parse_rational."""
+        """Coerce a value sequence to a fibre point (tuple of q Fractions) by
+        parse_rational, which refuses a bool or a float (a ValueError)."""
         pt = tuple(parse_rational(v) for v in values)
         if len(pt) != self.q:
             raise ValueError(f"point needs {self.q} coordinates, got {len(pt)}")

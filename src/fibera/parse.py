@@ -63,13 +63,13 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 def parse_rational(value):
     """Fraction of a string [+-]?digits[/digits] in ASCII digits, the form
-    fibera prints; a value that is not a string (a JSON number) goes to
-    Fraction as it is, except a bool (a JSON true or false), which is no
-    number.  Fraction alone would also read exponent notation, and
-    Fraction('1e10000000') takes seconds.  Raises ValueError (a
-    ParseError, which gives the digit count and not the digits, for an
-    integer longer than int() converts) or ZeroDivisionError."""
-    if isinstance(value, bool):
+    fibera prints, or of an int or a Fraction.  A bool (JSON true, false) is
+    no number, and a float is refused: fibera writes none, and Fraction
+    reads its binary value (0.1 is not 1/10).  Fraction would also read
+    exponent notation, and Fraction('1e10000000') takes seconds.  Raises
+    ValueError (a ParseError, which gives the digit count and not the
+    digits, for an integer longer than int() converts) or ZeroDivisionError."""
+    if isinstance(value, (bool, float)):
         raise ValueError(f"bad rational {value!r}")
     if not isinstance(value, str):
         return Fraction(value)

@@ -368,7 +368,7 @@ class TestGuardsAndErrors:
         ("verify", _set_in(["witness", "omega"], [[[0.5, 0, 0], [], "1"]]),
          EXIT_PARSE, "exponents and indices must be nonnegative integers"),
         ("verify", _set_in(["result", "a", 1, 0, 2], float("inf")),
-         EXIT_PARSE, "malformed witness payload: cannot convert Infinity"),
+         EXIT_PARSE, "malformed witness payload: bad rational inf"),
         ("verify", _set_in(["problem"], 5),
          EXIT_PARSE, "witness JSON problem is not a string"),
         ("class", ["--form", LONG + "*d[x]", "--point", "1,0"],
@@ -398,6 +398,16 @@ class TestGuardsAndErrors:
          EXIT_PARSE, "malformed witness payload: bad rational False"),
         ("verify", _set_in(["form", 0, 2], True),
          EXIT_PARSE, "malformed witness payload: bad rational True"),
+        # a JSON float would read at its binary value: 1.0 as 1 (PASS) and
+        # 0.1 as 3602879701896397/36028797018963968 (FAIL)
+        ("verify-class", _set_in(["point"], [1.0, 0]),
+         EXIT_PARSE, "malformed witness payload: bad rational 1.0"),
+        ("verify-class", _set_in(["point"], [0.1, 0]),
+         EXIT_PARSE, "malformed witness payload: bad rational 0.1"),
+        ("verify-class", _set_in(["result", "lambda", 0], 0.1),
+         EXIT_PARSE, "malformed witness payload: bad rational 0.1"),
+        ("verify", _set_in(["form", 0, 2], 1.0),
+         EXIT_PARSE, "malformed witness payload: bad rational 1.0"),
     ], ids=["superscript-in-form", "superscript-weight", "zero-form-component",
             "negative-exponent-in-a", "index-list-in-a", "fractional-exponent",
             "infinite-coefficient", "problem-not-a-string", "long-integer-in-form",
@@ -405,7 +415,8 @@ class TestGuardsAndErrors:
             "exponent-in-point", "exponent-in-coefficient", "exponent-in-lambda",
             "long-rational-in-point", "long-rational-in-coefficient",
             "long-rational-in-lambda", "boolean-point", "boolean-lambda",
-            "boolean-coefficient"])
+            "boolean-coefficient", "integral-float-point", "float-point",
+            "float-lambda", "float-coefficient"])
     def test_malformed_input_exits_cleanly(self, capsys, tmp_path, golden_file,
                                            command, edit, code, message):
         if command == "check":

@@ -604,6 +604,7 @@ class TestVerifyVanishing:
                  (quadric, [Fraction(-3, 2), 2], 5),
                  (weighted, [Fraction(-7, 3)], 9)]
         nonzero = 0
+        p = gradedlin._PRIME
         for F, y, bounds in cases:
             y = F.point(y)
             for k in range(F.n + 1):
@@ -611,6 +612,12 @@ class TestVerifyVanishing:
                     _, cols = _closedness_columns(F, k, y, bound)
                     assert fibre._closedness_columns(F, k, y, bound) == cols
                     nonzero += sum(map(bool, cols))
+                    # the Z/p columns are these, reduced mod p entry by entry
+                    residues = [{key: v.numerator * pow(v.denominator, -1, p) % p
+                                 for key, v in col.items()} for col in cols]
+                    assert fibre._closedness_columns(F, k, y, bound, p) == [
+                        {key: v for key, v in col.items() if v}
+                        for col in residues]
         assert nonzero > 600
 
     def test_closedness_columns_one_normal_form_per_key(self, sphere_map,
@@ -657,15 +664,19 @@ class TestVerifyVanishing:
 
     def test_certified_path_builds_no_exact_solver(self, sphere_map, line_map,
                                                    monkeypatch):
+        # nor a normal form over Q or an exactness column: the closedness
+        # columns come from residues, the exact rank from d_rank and d-images
         def refuse(*args, **kw):
             raise AssertionError("exact elimination on the certified path")
         monkeypatch.setattr(fibre, "ExactLinearSolver", refuse)
+        monkeypatch.setattr(groebner.GroebnerBasis, "normal_form", refuse)
         cases = [(line_map, [1], 6, (42, 42, 42))]
         cases += [(sphere_map, [y], 4, (60, 45, 45))
                   for y in _sphere_points(1, 12)]
         for G, y, bound, dims in cases:
             F = PolyMap(G.components, G.weights)
             monkeypatch.setattr(F, "solver", refuse)
+            monkeypatch.setattr(F, "exactness_groups", refuse)
             report = verify_vanishing(F, 1, F.point(y), bound)
             assert (report["space_dimension"], report["closed_dimension"],
                     report["exact_dimension"]) == dims
@@ -733,13 +744,15 @@ class TestVerifyVanishing:
         assert (report["closed_dimension"], report["exact_dimension"],
                 report["all_exact"]) == (45, 45, True)
 
-    def test_certified_matches_exact_on_grid(self, monkeypatch):
+    @staticmethod
+    def _vanishing_grid():
+        """(components, weights, form degree k, degree bounds) of the
+        certified-against-exact comparison; an empty bound list marks a case
+        outside the precondition."""
         x, y, z = variables(3)
         a, b, c, e = variables(4)
         u, _ = variables(2)
-        # (components, weights, form degree k, degree bounds); an empty
-        # bound list marks a case outside the precondition
-        grid = [
+        return [
             ([x ** 2 + y ** 2 + z ** 2], (1, 1, 1), 1, (2, 3, 4, 5)),
             ([x ** 2 + y ** 2 + z ** 2], (1, 1, 1), 2, ()),
             ([u], (1, 1), 1, (2, 4, 6)),
@@ -754,8 +767,10 @@ class TestVerifyVanishing:
             ([a * c + b * e, a ** 2 + b ** 2 - c ** 2 + e ** 2],
              (1, 1, 1, 1), 1, (2, 3)),
         ]
-        points = [0, 1, Fraction(-7, 3), Fraction(5, 2)]
 
+    _grid_points = [0, 1, Fraction(-7, 3), Fraction(5, 2)]
+
+    def test_certified_matches_exact_on_grid(self, monkeypatch):
         def reports(F, k, pt, bounds):
             if not bounds:
                 with pytest.raises(PreconditionError):
@@ -763,8 +778,8 @@ class TestVerifyVanishing:
             return [verify_vanishing(F, k, pt, bd) for bd in bounds]
 
         checked = 0
-        for comps, weights, k, bounds in grid:
-            for t in points:
+        for comps, weights, k, bounds in self._vanishing_grid():
+            for t in self._grid_points:
                 F = PolyMap(comps, weights)
                 pt = F.point([t] * F.q)
                 certified = reports(F, k, pt, bounds)
@@ -772,4 +787,24 @@ class TestVerifyVanishing:
                     m.setattr(fibre, "pivot_columns_mod_p", lambda cols, p: [])
                     assert reports(F, k, pt, bounds) == certified
                 checked += len(bounds)
+        assert checked == 4 * 26
+
+    def test_exact_rank_is_d_count_plus_shifted_block(self):
+        # on the bounded k-forms ker d = d(Omega^(k-1)), which lies in E, so
+        # dim E = sum of d_rank over 1..b + rank d(the (f_i - y_i) block)
+        checked = 0
+        for comps, weights, k, bounds in self._vanishing_grid():
+            for t in self._grid_points:
+                F = PolyMap(comps, weights)
+                pt = F.point([t] * F.q)
+                for b in bounds:
+                    groups = F.exactness_groups(k, b, pt)
+                    images = [gradedlin.d_image(img) for g in groups[1:]
+                              for img in g.images]
+                    count = sum(gradedlin.d_rank(F.weights, k - 1, r)
+                                for r in range(1, b + 1))
+                    assert count + ExactLinearSolver(images).rank == (
+                        ExactLinearSolver([img for g in groups
+                                           for img in g.images]).rank)
+                    checked += 1
         assert checked == 4 * 26
