@@ -30,9 +30,8 @@ from fractions import Fraction
 from .polyform import (KForm, Polynomial, _eadd, _merge_indices,
                        exterior_derivative, wedge)
 from .groebner import _reduce_mod_p
-from .gradedlin import (_PRIME, CombinationSolver, ExactLinearSolver,
-                        d_column, d_image, d_rank, monomial_keys,
-                        pivot_columns_mod_p, wedge_group)
+from .gradedlin import (_PRIME, CombinationSolver, d_column, d_image, d_rank,
+                        monomial_keys, pivot_columns, wedge_group)
 from .infinity import PreconditionError, _require_isolated, singular_dimension
 
 __all__ = [
@@ -276,31 +275,31 @@ def verify_vanishing(F, k, y, degree_bound):
     C <= N - rank_p C and rank_p E <= dim E <= dim K, rank_p C + rank_p E =
     N forces equality throughout, and a sum above N is an internal error.
     When p divides a denominator of some f_i - y_i, of the fibre basis or
-    of dF, or the sum falls short, exact eliminations of C and of the
-    exactness columns decide.
+    of dF, or the sum falls short, the same columns built from rationals
+    and ranked over Q decide.
     """
     if k < 1:
         raise ValueError("verify_vanishing needs form degree k >= 1")
     if not (singular_dimension(F) < F.n - F.q - k):
         raise PreconditionError(
             "vanishing check requires dim Sing < n - q - k")
-    y, w, p = F.point(y), F.weights, _PRIME
-    shifted = [_residues(g.terms, p) for g in F._shifted(y)]
-    cols = None if None in shifted else _closedness_columns(F, k, y, degree_bound, p)
-    if cols is not None:
-        rc = len(pivot_columns_mod_p(cols, p))
-        # d of the (f_i - y_i) x^e dx_S from residues; an entry is an exponent
+    y, w = F.point(y), F.weights
+    exact_d = sum(d_rank(w, k - 1, r) for r in range(1, degree_bound + 1))
+    for p in (_PRIME, None):
+        shifted = [_residues(g.terms, p) for g in F._shifted(y)]
+        cols = None if None in shifted else _closedness_columns(
+            F, k, y, degree_bound, p)
+        if cols is None:
+            continue
+        rc = len(pivot_columns(cols, p))
+        # d of the (f_i - y_i) x^e dx_S; from residues an entry is an exponent
         # times a nonzero residue, never 0 mod p, so no column is divided by p
         images = [d_image({(S, _eadd(e, m)): c for m, c in g.items()})
                   for g, d in zip(shifted, F.degrees)
                   for S, e in monomial_keys(F.n, k, w, degree_bound - d, True)]
-        exact = sum(d_rank(w, k - 1, r) for r in range(1, degree_bound + 1))
-        exact += len(pivot_columns_mod_p(images, p))
-    if cols is None or rc + exact < len(cols):
-        cols = _closedness_columns(F, k, y, degree_bound)
-        exact_cols = [img for g in F.exactness_groups(k, degree_bound, y)
-                      for img in g.images]
-        rc, exact = (ExactLinearSolver(c).rank for c in (cols, exact_cols))
+        exact = exact_d + len(pivot_columns(images, p))
+        if rc + exact >= len(cols):
+            break
     closed = len(cols) - rc
     if exact > closed:
         raise RuntimeError("internal: exact forms exceed the closed kernel")
@@ -316,7 +315,9 @@ def verify_vanishing(F, k, y, degree_bound):
 
 def _residues(terms, p):
     """The nonzero {key: c mod p} of a dict of rationals, or None when p
-    divides a denominator."""
+    divides a denominator; the dict itself when p is None."""
+    if p is None:
+        return terms
     if all(c.denominator % p for c in terms.values()):
         return {e: r for e, c in terms.items()
                 if (r := c.numerator * pow(c.denominator, -1, p) % p)}
@@ -333,9 +334,8 @@ def _closedness_columns(F, k, y, bound, p=None):
     x^e dx_S ^ df_1 ^ ... ^ df_q: computed once per key and call.  The basis
     is monic, so for p-integral data each image mod p is _reduce_mod_p's."""
     gb = F.fibre_gb(y)
-    jac = [(T, P.terms) for T, P in F.jac_form.coeffs.items()]
+    jac = [(T, _residues(P.terms, p)) for T, P in F.jac_form.coeffs.items()]
     if p:
-        jac = [(T, _residues(P, p)) for T, P in jac]
         gens = [(e, _residues({m: c for m, c in g.terms.items() if m != e}, p))
                 for e, g in zip(gb.leading_exponents(), gb.generators)]
         if None in [t for _, t in jac + gens]:

@@ -8,24 +8,21 @@ keys (S, e) for x^e dx_S, builds columns from them as coordinate dicts
 the latter, for G = fbar_i, f_i - y_i or dfbar_i, by wedge_group), and
 solves exactly.
 
-Both eliminations first clear each column to integers, scaling it by the
-lcm of its denominators.  The solver then runs fraction-free (Bareiss)
-elimination over the integers, keeping its row swaps and multipliers.
-The factorization is reused across targets, so deciding many membership
-questions against one column family costs one elimination.  Witnesses
-are deterministic: first usable pivot in enumeration order, free
-variables set to zero, so a column in the span of the columns before it
-never enters one (PolyMap.exactness_groups builds no such d-column).
-
-Where only a rank profile is needed, pivot_columns_mod_p reduces the
-same integer columns modulo one fixed prime p with sparse pivot dicts
-instead: no exact elimination, and no witness.  Its pivot columns are
+Every rank, in either field, comes from pivot_columns, run modulo one
+fixed prime p or, with no prime, over Q.  Its pivot columns mod p are
 independent over Q as well (they have a minor that is nonzero mod p), but
-a rank mod p can fall below the rank over Q, so a caller certifies the
-result: infinity_basis by d-images spanning d(Omega^k_r), of dimension
-d_rank, and mu kept forms; verify_vanishing by closed and exact ranks, of
-residue columns and of d_rank plus d-images, that sum to the dimension.
-When the certificate fails, the caller takes the solver's exact ranks.
+a rank mod p can fall below the rank over Q, so a caller certifies it
+(infinity_basis and verify_vanishing each say how) and, when the
+certificate fails, asks the same question over Q.
+
+Solves use fraction-free (Bareiss) elimination over the integers, after
+each column is cleared by the lcm of its denominators, and keep its row
+swaps and multipliers.  The factorization is reused across targets, so
+deciding many membership questions against one column family costs one
+elimination.  Witnesses are deterministic: first usable pivot in
+enumeration order, free variables set to zero, so a column in the span of
+the columns before it never enters one (PolyMap.exactness_groups builds
+no such d-column).
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from .polyform import KForm, Polynomial, _eadd, _merge_indices
 __all__ = [
     "weighted_exponents", "monomial_keys", "monomial_basis",
     "kform_coordinates", "coordinates_kform", "d_column", "d_image", "d_rank",
-    "wedge_column", "pivot_columns_mod_p", "ExactLinearSolver", "ColumnGroup",
+    "wedge_column", "pivot_columns", "ExactLinearSolver", "ColumnGroup",
     "wedge_group", "operator_columns", "GroupWitness", "CombinationSolver",
 ]
 
@@ -189,31 +186,31 @@ def _primitive(col):
 _PRIME = 2**61 - 1
 
 
-def pivot_columns_mod_p(columns, p):
-    """Indices of the columns independent of the columns before them
-    modulo the prime p, after each column is cleared to integers (and
-    divided by their gcd when p divides all of them).
+def pivot_columns(columns, p=None):
+    """Indices of the columns independent of the columns before them,
+    modulo the prime p, or over Q when p is None (there, by definition,
+    the pivots of ExactLinearSolver).
 
-    Columns are sparse dicts of rationals over comparable row keys.  A
-    pivot is stored under its pivot row, the smallest key of the reduced
-    column, as a dict of the column's other entries scaled so that the
-    pivot entry is 1; all those keys are larger.  A column is reduced by
-    eliminating its pivot rows in increasing order, so each pivot row is
-    eliminated at most once.
+    Columns are sparse dicts of rationals over comparable row keys.  Mod p
+    each is first cleared to integers (and divided by their gcd when p
+    divides all of them).  A pivot is stored under its pivot row, the
+    smallest key of the reduced column, as a dict of the column's other
+    entries scaled so that the pivot entry is 1; all those keys are larger.
+    A column is reduced by eliminating its pivot rows in increasing order,
+    so each pivot row is eliminated at most once.
     """
     pivots = {}
     out = []
     for j, col in enumerate(columns):
-        s = _scale(col)
-        v = {}
-        for key, c in col.items():
-            c = c.numerator * (s // c.denominator) % p
-            if c:
-                v[key] = c
-        if not v and any(col.values()):
-            # every cleared entry is a multiple of p: the column divided by
-            # the gcd of its entries has the same span and a unit residue
-            v = {key: c % p for key, c in _primitive(col).items() if c % p}
+        if p:
+            s = _scale(col)
+            v = {key: r for key, c in col.items()
+                 if (r := c.numerator * (s // c.denominator) % p)}
+            if not v and any(col.values()):
+                # every cleared entry is a multiple of p: divide by their gcd
+                v = {key: r for key, c in _primitive(col).items() if (r := c % p)}
+        else:
+            v = {key: c for key, c in col.items() if c}
         todo = [key for key in v if key in pivots]
         heapify(todo)
         while todo:
@@ -223,7 +220,9 @@ def pivot_columns_mod_p(columns, p):
                 continue
             for k2, a in pivots[key].items():
                 old = v.get(k2)
-                t = ((old or 0) - c * a) % p
+                t = (old or 0) - c * a
+                if p:
+                    t %= p
                 if t:
                     v[k2] = t
                     if old is None and k2 in pivots:
@@ -232,8 +231,9 @@ def pivot_columns_mod_p(columns, p):
                     del v[k2]
         if v:
             key = min(v)
-            inv = pow(v.pop(key), -1, p)
-            pivots[key] = {k2: a * inv % p for k2, a in v.items()}
+            inv = pow(v.pop(key), -1, p) if p else 1 / Fraction(v.pop(key))
+            pivots[key] = {k2: a * inv % p if p else a * inv
+                           for k2, a in v.items()}
             out.append(j)
     return out
 

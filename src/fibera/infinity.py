@@ -30,11 +30,10 @@ from .polyform import (KForm, Polynomial, _eadd, _wdeg, euler_contraction,
 from .groebner import (MonomialOrder, buchberger, elimination_order,
                        ideal_dimension, quotient_vector_basis)
 from .parse import parse_rational
-from .gradedlin import (_PRIME, ColumnGroup, CombinationSolver,
-                        ExactLinearSolver, _primitive, coordinates_kform,
-                        d_column, d_image, d_rank, kform_coordinates,
-                        monomial_basis, monomial_keys, pivot_columns_mod_p,
-                        wedge_group)
+from .gradedlin import (_PRIME, ColumnGroup, CombinationSolver, _primitive,
+                        coordinates_kform, d_column, d_image, d_rank,
+                        kform_coordinates, monomial_basis, monomial_keys,
+                        pivot_columns, wedge_group)
 
 # monomial_basis is re-exported: perfbench/selftest.py checks that tracing
 # wraps a gradedlin name where infinity re-imports it.
@@ -320,8 +319,8 @@ def infinity_basis(F):
     the candidates span the cohomology (so h_r is 0 outside the candidate
     degrees), and its dimension is mu, the paper's dim H^(n-q)(F^-1(infinity))
     = mu.  Then sum h_r = mu forces |kept_r| = h_r in every degree, so the
-    kept forms are a basis.  When a check fails, the exact pivot columns of
-    the same d-images pick the candidates instead: they are the greedy
+    kept forms are a basis.  When a check fails, the same pivot_columns
+    pass over Q picks the candidates instead: its pivots are the greedy
     basis by definition.
     """
     std = _standard_monomials(F)
@@ -337,18 +336,19 @@ def infinity_basis(F):
         for r, g in gens:
             by_degree.setdefault(_wdeg(e, w) + r, []).append(
                 {(S, _eadd(e, m)): c for (S, m), c in g.items()})
-    kept = _kept(F, by_degree, lambda cols: pivot_columns_mod_p(cols, _PRIME))
-    if kept is None or len(kept) != mu:
-        kept = _kept(F, by_degree, lambda cols: ExactLinearSolver(cols).pivots)
-        if kept is None or len(kept) != mu:
-            raise RuntimeError("internal: exact basis size differs from mu")
+    for p in (_PRIME, None):
+        kept = _kept(F, by_degree, p)
+        if kept is not None and len(kept) == mu:
+            break
+    else:
+        raise RuntimeError("internal: exact basis size differs from mu")
     return InfinityBasis([coordinates_kform(n, n - F.q, c) for _, c in kept],
                          [r for r, _ in kept], mu)
 
 
-def _kept(F, by_degree, profile):
-    """(degree, candidate) pairs among profile(columns), the pivot columns
-    of each degree's d(fbar_i x^e dx_S) followed by its candidates'
+def _kept(F, by_degree, p):
+    """(degree, candidate) pairs among the pivot columns, mod p or over Q
+    (p None), of each degree's d(fbar_i x^e dx_S) then its candidates'
     d-images, or None when some degree's pivots miss part of d(Omega^k_r)."""
     n, k, w = F.n, F.n - F.q, F.weights
     # each fbar_i as its primitive integer multiple: scaling a column
@@ -361,7 +361,7 @@ def _kept(F, by_degree, profile):
                 for d, g in tops for S, e in monomial_keys(n, k, w, r - d)]
         m = len(cols)
         cols.extend(d_image(c) for c in cands)
-        pivots = profile(cols)
+        pivots = pivot_columns(cols, p)
         if len(pivots) != d_rank(w, k, r):
             return None
         kept.extend((r, cands[j - m]) for j in pivots if j >= m)

@@ -5,7 +5,6 @@ import random
 import signal
 from copy import deepcopy
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -639,15 +638,16 @@ class TestVerifyVanishing:
         assert len(cols) == 60 and 0 < len(calls) <= len(keys)
 
     # the sphere at bound 4 has 60 monomial 1-forms, 45 of them closed;
-    # an empty mod-p profile sends both ranks to exact elimination, and the
-    # second one, of the exactness columns, is the stub's
+    # an empty mod-p profile sends both ranks over Q.  There the exact rank
+    # is 34 = sum of d_rank(w, 0, r) over r <= 4 plus the rank of the
+    # d-images, and the stub gives the d-images rank - 34 pivots
     def _sphere_with_exact_rank(self, sphere_map, monkeypatch, rank):
         F = PolyMap(sphere_map.components, sphere_map.weights)
-        solvers = iter([ExactLinearSolver,
-                        lambda cols: SimpleNamespace(rank=rank)])
-        monkeypatch.setattr(fibre, "ExactLinearSolver",
-                            lambda cols: next(solvers)(cols))
-        monkeypatch.setattr(fibre, "pivot_columns_mod_p", lambda cols, p: [])
+        assert sum(gradedlin.d_rank(F.weights, 0, r) for r in range(1, 5)) == 34
+        over_q = iter([gradedlin.pivot_columns,
+                       lambda cols, p: list(range(rank - 34))])
+        monkeypatch.setattr(fibre, "pivot_columns", lambda cols, p: (
+            next(over_q)(cols, p) if p is None else []))
         return F
 
     def test_exact_rank_below_closed_fails(self, sphere_map, monkeypatch):
@@ -668,7 +668,12 @@ class TestVerifyVanishing:
         # columns come from residues, the exact rank from d_rank and d-images
         def refuse(*args, **kw):
             raise AssertionError("exact elimination on the certified path")
-        monkeypatch.setattr(fibre, "ExactLinearSolver", refuse)
+
+        def mod_p_only(cols, p):
+            assert p is not None, "a rank over Q on the certified path"
+            return gradedlin.pivot_columns(cols, p)
+        monkeypatch.setattr(fibre, "pivot_columns", mod_p_only)
+        monkeypatch.setattr(ExactLinearSolver, "__init__", refuse)
         monkeypatch.setattr(groebner.GroebnerBasis, "normal_form", refuse)
         cases = [(line_map, [1], 6, (42, 42, 42))]
         cases += [(sphere_map, [y], 4, (60, 45, 45))
@@ -685,12 +690,16 @@ class TestVerifyVanishing:
     def _sphere_with_profile(self, sphere_map, monkeypatch, edit):
         """The sphere at bound 4 with each mod-p pivot list passed through
         edit(call, pivots), call 0 for the closedness columns and 1 for the
-        exactness columns; returns the map and the exact eliminations run."""
+        exactness d-images; returns the map and the exact ranks run, one
+        "Q" per pivot_columns call over Q."""
         F = PolyMap(sphere_map.components, sphere_map.weights)
-        real_profile, real_solver = fibre.pivot_columns_mod_p, F.solver
+        real_profile, real_solver = gradedlin.pivot_columns, F.solver
         calls, exact_runs = [], []
 
         def profile(cols, p):
+            if p is None:
+                exact_runs.append("Q")
+                return real_profile(cols, p)
             # one attempt per column family, with the one prime
             calls.append(p)
             assert p == gradedlin._PRIME and len(calls) <= 2
@@ -699,12 +708,7 @@ class TestVerifyVanishing:
         def solver(*args, **kw):
             exact_runs.append("F.solver")
             return real_solver(*args, **kw)
-
-        def elimination(cols):
-            exact_runs.append("ExactLinearSolver")
-            return ExactLinearSolver(cols)
-        monkeypatch.setattr(fibre, "pivot_columns_mod_p", profile)
-        monkeypatch.setattr(fibre, "ExactLinearSolver", elimination)
+        monkeypatch.setattr(fibre, "pivot_columns", profile)
         monkeypatch.setattr(F, "solver", solver)
         return F, exact_runs
 
@@ -727,20 +731,24 @@ class TestVerifyVanishing:
                                             edit):
         F, exact_runs = self._sphere_with_profile(sphere_map, monkeypatch, edit)
         report = verify_vanishing(F, 1, F.point([1]), 4)
-        assert exact_runs == ["ExactLinearSolver", "ExactLinearSolver"]
+        assert exact_runs == ["Q", "Q"]
         assert (report["closed_dimension"], report["exact_dimension"],
                 report["all_exact"]) == (45, 45, True)
 
     def test_point_with_prime_denominator_falls_back(self, sphere_map,
                                                      monkeypatch):
-        # y = 1/p puts p into the denominators of (f - y) eta; cleared,
-        # such a column keeps only its -eta part mod p, so the profile
-        # falls short and exact elimination decides
+        # y = 1/p puts p into a denominator of f - y, which has no residue
+        # mod p, so the columns are built from rationals and ranked over Q,
+        # with no exactness column
         F, exact_runs = self._sphere_with_profile(
             sphere_map, monkeypatch, lambda call, piv: piv)
+
+        def refuse(*args, **kw):
+            raise AssertionError("exactness columns on the fallback")
+        monkeypatch.setattr(F, "exactness_groups", refuse)
         y = F.point([Fraction(1, gradedlin._PRIME)])
         report = verify_vanishing(F, 1, y, 4)
-        assert exact_runs == ["ExactLinearSolver", "ExactLinearSolver"]
+        assert exact_runs == ["Q", "Q"]
         assert (report["closed_dimension"], report["exact_dimension"],
                 report["all_exact"]) == (45, 45, True)
 
@@ -768,7 +776,9 @@ class TestVerifyVanishing:
              (1, 1, 1, 1), 1, (2, 3)),
         ]
 
-    _grid_points = [0, 1, Fraction(-7, 3), Fraction(5, 2)]
+    # 1/p has no residue mod p, so verify_vanishing answers it over Q
+    _grid_points = [0, 1, Fraction(-7, 3), Fraction(5, 2),
+                    Fraction(1, gradedlin._PRIME)]
 
     def test_certified_matches_exact_on_grid(self, monkeypatch):
         def reports(F, k, pt, bounds):
@@ -784,10 +794,12 @@ class TestVerifyVanishing:
                 pt = F.point([t] * F.q)
                 certified = reports(F, k, pt, bounds)
                 with monkeypatch.context() as m:
-                    m.setattr(fibre, "pivot_columns_mod_p", lambda cols, p: [])
+                    # no pivots mod p, so every report is ranked over Q
+                    m.setattr(fibre, "pivot_columns", lambda cols, p: (
+                        gradedlin.pivot_columns(cols, p) if p is None else []))
                     assert reports(F, k, pt, bounds) == certified
                 checked += len(bounds)
-        assert checked == 4 * 26
+        assert checked == 5 * 26
 
     def test_exact_rank_is_d_count_plus_shifted_block(self):
         # on the bounded k-forms ker d = d(Omega^(k-1)), which lies in E, so
@@ -807,4 +819,4 @@ class TestVerifyVanishing:
                         ExactLinearSolver([img for g in groups
                                            for img in g.images]).rank)
                     checked += 1
-        assert checked == 4 * 26
+        assert checked == 5 * 26

@@ -12,16 +12,19 @@ from fibera import (
     CombinationSolver,
     ExactLinearSolver,
     KForm,
+    PolyMap,
     Polynomial,
     exterior_derivative,
     kform_coordinates,
+    koszul_kernel_generators,
     monomial_basis,
+    quotient_vector_basis,
     wedge,
     weighted_exponents,
 )
 from fibera.gradedlin import (d_column, d_image, d_rank, monomial_keys,
-                              operator_columns, pivot_columns_mod_p,
-                              wedge_column, wedge_group)
+                              operator_columns, pivot_columns, wedge_column,
+                              wedge_group)
 from conftest import make_random_form, variables
 import oracles
 
@@ -201,6 +204,7 @@ def _greedy_pivots(dense):
 
 class TestPivotColumnsModP:
     def test_matches_exact_greedy_pivots(self):
+        # mod the big prime and over Q (p None) alike
         rng = random.Random(49)
         deficient = 0
         for trial in range(40):
@@ -209,18 +213,23 @@ class TestPivotColumnsModP:
             dense = [[c.get(i, Fraction(0)) for i in range(m)] for c in cols]
             pivots = _greedy_pivots(dense)
             deficient += len(pivots) < min(m, n)
-            assert pivot_columns_mod_p(cols, 2 ** 61 - 1) == pivots
+            for p in (2 ** 61 - 1, None):
+                assert pivot_columns(cols, p) == pivots
         assert deficient >= 20
 
     def test_small_primes_and_denominators(self):
         cols = [{"a": 1, "b": 2}, {"a": 2, "b": 4}, {"c": Fraction(1, 5)},
                 {"a": 1, "c": 1}, {"b": 1}, {}]
-        assert pivot_columns_mod_p(cols, 2 ** 61 - 1) == [0, 2, 3]
+        dense = [[c.get(i, Fraction(0)) for i in "abc"] for c in cols]
+        assert _greedy_pivots(dense) == [0, 2, 3]
+        for p in (2 ** 61 - 1, None):
+            assert pivot_columns(cols, p) == [0, 2, 3]
         # the 1/5 column is cleared to {c: 1}, so it keeps a residue mod 5
-        assert pivot_columns_mod_p(cols, 5) == [0, 2, 3]
+        assert pivot_columns(cols, 5) == [0, 2, 3]
         # mod 2 the second column, divided by the gcd 2 of its entries, is
-        # a again, and b becomes a pivot
-        assert pivot_columns_mod_p(cols[:2] + cols[4:], 2) == [0, 2]
+        # a again, and b becomes a pivot; over Q it is twice the first
+        assert pivot_columns(cols[:2] + cols[4:], 2) == [0, 2]
+        assert pivot_columns(cols[:2] + cols[4:], None) == [0, 2]
 
     def test_columns_of_multiples_of_the_prime_keep_their_pivots(self):
         # mod 5 every cleared entry of columns 1 and 2 vanishes; divided by
@@ -231,7 +240,46 @@ class TestPivotColumnsModP:
         dense = [[c.get(i, Fraction(0)) for i in "abc"] for c in cols]
         assert _greedy_pivots(dense) == [0, 1, 2]
         for p in (5, 2 ** 61 - 1):
-            assert pivot_columns_mod_p(cols, p) == [0, 1, 2]
+            assert pivot_columns(cols, p) == [0, 1, 2]
+
+    @pytest.mark.parametrize("name", ["fermat-c4", "quadric-c4",
+                                      "quartic-c3"])
+    def test_rational_pivots_are_the_solver_pivots_on_ladder_maps(self, name):
+        # per degree, the columns infinity_basis ranks: d(fbar_i x^e dx_S)
+        # for the monomial k-forms x^e dx_S, then the d-images of the
+        # candidates x^e * (kernel generator), and the same columns in
+        # reverse order; ExactLinearSolver is the reference
+        F = _ladder_map(name)
+        k, w = F.n - F.q, F.weights
+        by_degree = {}
+        for e in quotient_vector_basis(F.singular_gb):
+            for g in koszul_kernel_generators(F):
+                cand = Polynomial.monomial(F.n, e) * g
+                by_degree.setdefault(cand.weighted_degree(w), []).append(
+                    kform_coordinates(cand))
+        dependent = 0
+        for r, cands in sorted(by_degree.items()):
+            cols = [d_image(img) for f in F.top_components
+                    for img in wedge_group(KForm.from_polynomial(f), k, r,
+                                           w).images]
+            cols += [d_image(c) for c in cands]
+            for order in (cols, cols[::-1]):
+                pivots = ExactLinearSolver(order).pivots
+                assert len(pivots) == d_rank(w, k, r)
+                assert pivot_columns(order, None) == pivots, r
+                dependent += len(order) - len(pivots)
+        assert dependent > 0
+
+
+def _ladder_map(name):
+    """The maps of perfbench's basis-ladder workload."""
+    if name == "quartic-c3":
+        x, y, z = variables(3)
+        return PolyMap([x ** 3 * y + y ** 3 * z + z ** 3 * x + x * y], (1, 1, 1))
+    a, b, c, e = variables(4)
+    comps = ([a ** 3 + b ** 3 + c ** 3 + e ** 3] if name == "fermat-c4" else
+             [a * c + b * e, a ** 2 + b ** 2 - c ** 2 + e ** 2])
+    return PolyMap(comps, (1, 1, 1, 1))
 
 
 class TestReplayAgainstOracle:

@@ -5,7 +5,6 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -524,22 +523,19 @@ SCALE_N = 4951760154835678088235319297
 
 
 def _spy_profiles(monkeypatch):
-    """Record (p, result) of every pivot_columns_mod_p call infinity makes,
-    and the pivots of every exact elimination it runs."""
+    """Record (p, result) of every pivot_columns call infinity makes modulo
+    a prime, and the pivots of every call over Q (p None)."""
     calls, exact_runs = [], []
-    real = gradedlin.pivot_columns_mod_p
+    real = gradedlin.pivot_columns
 
     def spy(columns, p):
         out = real(columns, p)
-        calls.append((p, out))
+        if p is None:
+            exact_runs.append(out)
+        else:
+            calls.append((p, out))
         return out
-
-    def elimination(columns):
-        solver = ExactLinearSolver(columns)
-        exact_runs.append(solver.pivots)
-        return solver
-    monkeypatch.setattr(infinity, "pivot_columns_mod_p", spy)
-    monkeypatch.setattr(infinity, "ExactLinearSolver", elimination)
+    monkeypatch.setattr(infinity, "pivot_columns", spy)
     return calls, exact_runs
 
 
@@ -607,10 +603,14 @@ class TestModularCertificate:
         # the span check rejects it at degree 2; without, it spans every
         # piece but keeps 6 forms, so the count check rejects it.  The
         # exact profile then answers.
-        real = gradedlin.pivot_columns_mod_p
+        real = gradedlin.pivot_columns
         calls = []
+        _, exact_runs = _spy_profiles(monkeypatch)
+        spy = infinity.pivot_columns
 
         def skewed(columns, p):
+            if p is None:
+                return spy(columns, p)
             pivots = real(columns, p)
             calls.append(p)
             if len(calls) == 1 and short_in_degree_2:
@@ -622,8 +622,7 @@ class TestModularCertificate:
                              if j not in pivots)
                 return sorted(pivots[1:] + [extra])
             return pivots
-        _, exact_runs = _spy_profiles(monkeypatch)
-        monkeypatch.setattr(infinity, "pivot_columns_mod_p", skewed)
+        monkeypatch.setattr(infinity, "pivot_columns", skewed)
         B = infinity_basis(golden_map)
         assert len(calls) == (1 if short_in_degree_2 else 3)
         assert len(exact_runs) == 3
@@ -632,13 +631,11 @@ class TestModularCertificate:
 
     def test_exact_profile_failing_is_an_internal_error(self, monkeypatch,
                                                         capsys, tmp_path):
-        # both profiles skewed: the prime spans nothing, and the exact
-        # elimination misses its last pivot
-        def short(cols):
-            return SimpleNamespace(pivots=ExactLinearSolver(cols).pivots[:-1])
-        monkeypatch.setattr(infinity, "pivot_columns_mod_p",
-                            lambda cols, p: [])
-        monkeypatch.setattr(infinity, "ExactLinearSolver", short)
+        # both profiles skewed: the prime spans nothing, and the pass over
+        # Q misses its last pivot
+        real = gradedlin.pivot_columns
+        monkeypatch.setattr(infinity, "pivot_columns", lambda cols, p: (
+            real(cols, p)[:-1] if p is None else []))
         with pytest.raises(RuntimeError, match="^internal: "):
             infinity_basis(_fermat_c4())
         path = tmp_path / "fermat.fib"
@@ -651,13 +648,20 @@ class TestModularCertificate:
         assert "Traceback" not in err
 
     def test_no_exact_elimination(self, monkeypatch):
-        # the basis comes from the modular rank profile alone
+        # the basis comes from the modular rank profile alone: no rank over
+        # Q and no solver
         built = []
-        real = ExactLinearSolver.__init__
+        real, real_init = gradedlin.pivot_columns, ExactLinearSolver.__init__
+
+        def mod_p_only(columns, p):
+            if p is None:
+                built.append("pivot_columns")
+            return real(columns, p)
 
         def counting(self, columns):
-            built.append(1)
-            real(self, columns)
+            built.append("ExactLinearSolver")
+            real_init(self, columns)
+        monkeypatch.setattr(infinity, "pivot_columns", mod_p_only)
         monkeypatch.setattr(ExactLinearSolver, "__init__", counting)
         assert infinity_basis(_fermat_c4()).mu == 16
         assert built == []
